@@ -286,7 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # A persistent queue needs a persistent result store to resume
         # from; keep it next to the journal unless told otherwise.
         import os
-        cache_path = os.path.join(args.state_dir, "cache.json")
+        cache_path = os.path.join(args.state_dir, "cache.db")
     try:
         cache = ResultCache(path=cache_path) if cache_path \
             else ResultCache()
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep (default: "
                              "1, serial)")
     p_grid.add_argument("--cache",
-                        help="persistent result-cache JSON file; repeat "
+                        help="persistent result-cache SQLite file; repeat "
                              "runs reuse previously solved cells")
     p_grid.add_argument("--strict", action="store_true",
                         help="abort the sweep on the first failed cell "
@@ -618,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persistent queue directory (journal + "
                               "cache); required to resume across runs")
     p_sweep.add_argument("--cache",
-                         help="result-cache JSON file (default: "
-                              "cache.json inside --state-dir)")
+                         help="result-cache SQLite file (default: "
+                              "cache.db inside --state-dir)")
     p_sweep.add_argument("--resume", metavar="JOB_ID",
                          help="resume a journaled job instead of "
                               "submitting a new sweep")
@@ -694,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for grid sweeps")
     p_serve.add_argument("--cache",
-                         help="persistent result-cache JSON file")
+                         help="persistent result-cache SQLite file")
     p_serve.add_argument("--engine", choices=["scalar", "batch"],
                          default="scalar",
                          help="default MVA backend for requests that do "

@@ -1,22 +1,23 @@
-"""Content-addressed result cache: LRU front, optional JSON disk store.
+"""Content-addressed result cache: LRU front, optional SQLite disk store.
 
 Values are JSON-representable dicts (a solved cell plus its solve
 metadata) keyed by :func:`repro.service.keys.task_key`.  The in-memory
 front is a plain ordered-dict LRU; the optional persistent store is a
-single human-readable JSON file, loaded on construction and rewritten
-atomically (temp file + ``os.replace``) on :meth:`flush`.
+SQLite-WAL table of one row per key, loaded on construction and
+updated row by row on :meth:`ResultCache.flush`, so processes sharing
+a file add to it rather than overwrite each other.
 
-The disk store mirrors the in-memory contents, so the LRU ``capacity``
-also bounds the file; a corrupt or version-mismatched file is treated
-as empty rather than an error (a cache must never take the service
-down).
+Evictions delete their rows, so the LRU ``capacity`` also bounds the
+file; another schema's rows are dropped and a non-SQLite file is
+replaced (a cache must never take the service down).  Database errors
+surface as :class:`OSError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import sqlite3
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -25,8 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.service.keys import SCHEMA_VERSION
-
-_STORE_FORMAT = "repro.service.cache"
+from repro.sqlite_wal import WalConnections
 
 
 @dataclass
@@ -49,7 +49,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """LRU cache of solved cells with an optional JSON file behind it.
+    """LRU cache of solved cells with an optional SQLite file behind it.
 
     Parameters
     ----------
@@ -57,9 +57,10 @@ class ResultCache:
         Maximum number of entries held (and persisted).  Least recently
         *used* entries are evicted first.
     path:
-        Optional JSON file for persistence across processes/runs.  The
-        file is read once at construction; call :meth:`flush` (or use
-        the executor, which flushes after every sweep) to write back.
+        Optional SQLite file for persistence across processes/runs.
+        Its newest ``capacity`` rows are read once at construction;
+        call :meth:`flush` (or use the executor, which flushes after
+        every solve) to write back.
     """
 
     def __init__(self, capacity: int = 4096,
@@ -71,7 +72,10 @@ class ResultCache:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._dirty = False
+        # Rows to upsert / delete at the next flush (disk store only).
+        self._changed: dict[str, dict[str, Any]] = {}
+        self._evicted: set[str] = set()
+        self._db = WalConnections(self.path) if self.path is not None else None
         if self.path is not None:
             self._load()
 
@@ -96,15 +100,7 @@ class ResultCache:
 
     def put(self, key: str, value: dict[str, Any]) -> None:
         """Store ``value`` under ``key``, evicting the LRU tail if full."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            self.stats.stores += 1
-            self._dirty = True
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        self.put_many([(key, value)])
 
     def put_many(self, items: Iterable[tuple[str, dict[str, Any]]]) -> None:
         """Store every ``(key, value)`` pair under one lock acquisition.
@@ -115,66 +111,83 @@ class ResultCache:
         off their per-cell path.
         """
         with self._lock:
+            changed = self._changed if self._db is not None else None
             for key, value in items:
                 if key in self._entries:
                     self._entries.move_to_end(key)
                 self._entries[key] = value
+                if changed is not None:
+                    changed[key] = value
                 self.stats.stores += 1
-            self._dirty = True
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                key, _ = self._entries.popitem(last=False)
                 self.stats.evictions += 1
+                if changed is not None:
+                    changed.pop(key, None)
+                    self._evicted.add(key)
 
     def clear(self) -> None:
         with self._lock:
+            if self._db is not None:
+                self._evicted.update(self._entries)
+                self._changed.clear()
             self._entries.clear()
-            self._dirty = True
 
     # -- persistence -----------------------------------------------------
 
     def _load(self) -> None:
-        assert self.path is not None
         try:
-            raw = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return
-        if (not isinstance(raw, dict)
-                or raw.get("format") != _STORE_FORMAT
-                or raw.get("schema") != SCHEMA_VERSION):
-            return
-        entries = raw.get("entries")
-        if not isinstance(entries, dict):
-            return
-        for key, value in entries.items():
-            if isinstance(key, str) and isinstance(value, dict):
-                self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            try:
+                rows = self._read_rows()
+            except sqlite3.DatabaseError as exc:
+                if type(exc) is not sqlite3.DatabaseError:
+                    raise
+                # Not a SQLite database (say, an old JSON cache file):
+                # the cache only saves work, so start an empty one.
+                self._db.close()
+                for suffix in ("", "-wal", "-shm"):
+                    Path(f"{self.path}{suffix}").unlink(missing_ok=True)
+                rows = self._read_rows()
+        except sqlite3.Error as exc:
+            raise OSError(f"result cache {self.path}: {exc}") from exc
+        for _, key, value in reversed(rows):
+            self._entries[key] = json.loads(value)
+
+    def _read_rows(self) -> list[tuple[int, str, str]]:
+        """The newest ``capacity`` ``(rowid, key, value)`` rows, newest
+        first; older rows and another schema's rows are deleted."""
+        with self._db.transaction() as conn:
+            conn.execute("CREATE TABLE IF NOT EXISTS cells "
+                         "(key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            if version != SCHEMA_VERSION:
+                conn.execute("DELETE FROM cells")
+                conn.execute(f"PRAGMA user_version={SCHEMA_VERSION:d}")
+            rows = conn.execute(
+                "SELECT rowid, key, value FROM cells ORDER BY rowid DESC "
+                "LIMIT ?", (self.capacity,)).fetchall()
+            if len(rows) == self.capacity:
+                conn.execute("DELETE FROM cells WHERE rowid < ?",
+                             (rows[-1][0],))
+        return rows
 
     def flush(self) -> None:
-        """Atomically rewrite the disk store (no-op without a path or
-        when nothing changed since the last flush)."""
+        """Write the rows put or evicted since the last flush in one
+        transaction (no-op without a path or when nothing changed)."""
         if self.path is None:
             return
         with self._lock:
-            if not self._dirty:
+            if not self._changed and not self._evicted:
                 return
-            document = {
-                "format": _STORE_FORMAT,
-                "schema": SCHEMA_VERSION,
-                "entries": dict(self._entries),
-            }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(document, fh, indent=1)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            self._dirty = False
+                with self._db.transaction() as conn:
+                    conn.executemany("DELETE FROM cells WHERE key = ?",
+                                     [(key,) for key in self._evicted])
+                    conn.executemany(
+                        "INSERT OR REPLACE INTO cells (key, value) VALUES (?, ?)",
+                        [(key, json.dumps(value))
+                         for key, value in self._changed.items()])
+            except sqlite3.Error as exc:
+                raise OSError(f"result cache {self.path}: {exc}") from exc
+            self._changed.clear()
+            self._evicted.clear()

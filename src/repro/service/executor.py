@@ -20,8 +20,9 @@ from the result cache, and fans the rest out over a
   deterministically perturbed seed; the *effective* seed that produced
   the result is recorded in the cached value so a cache hit stays
   traceable.
-* **Incremental cache flush** -- the disk store is rewritten after
-  every fresh solve, so an interrupted sweep keeps its completed cells.
+* **Incremental cache flush** -- every fresh solve (every batch, on
+  the batch path) is written to the disk store in its own transaction,
+  so an interrupted sweep keeps its completed cells.
 * **Graceful serial fallback** -- if the platform cannot spawn worker
   processes (sandboxes, restricted containers) the executor silently
   degrades to in-process serial evaluation with identical results.
@@ -687,8 +688,8 @@ class SweepExecutor:
         ``run_grid`` loop.
     cache:
         Optional :class:`ResultCache`; flushed incrementally after
-        every fresh solve (an interrupted sweep keeps its completed
-        cells) and once more at the end of the sweep.
+        every fresh solve or batch (an interrupted sweep keeps its
+        completed cells) and once more at the end of the sweep.
     metrics:
         Optional :class:`MetricsRegistry` fed with cache hit/miss
         counters, per-cell solve latency, MVA
@@ -829,8 +830,14 @@ class SweepExecutor:
         except Exception:  # noqa: BLE001 - engine fallback, not cell errors
             results = [evaluate_with_retry(task, self.sim_retries)
                        for task in tasks]
+        if self.cache is not None:
+            # One transaction for the whole batch, not one per cell.
+            self.cache.put_many(
+                (task.key, value) for task, value in zip(tasks, results)
+                if value.get("error") is None)
+            self.cache.flush()
         for (index, task), value in zip(pending, results):
-            values[index] = self._absorb(task, index, value)
+            values[index] = self._absorb(task, index, value, store=False)
 
     def _run_chunked(self, pending: list[tuple[int, CellTask]],
                      values: dict[int, dict[str, Any]]) -> str:
@@ -912,8 +919,8 @@ class SweepExecutor:
                 store: bool = True) -> dict[str, Any]:
         """Record one fresh result: metrics, cache (with an incremental
         flush), and the strict-mode failure check.  ``store=False``
-        skips the cache write (the chunked queue already persisted the
-        value itself)."""
+        skips the cache write (the caller already persisted the value:
+        the chunked queue, or the batch path in one transaction)."""
         if value.get("error") is not None:
             self._record_failure(task)
             if self.strict:

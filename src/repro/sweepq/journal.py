@@ -19,26 +19,21 @@ the arbiter of every race:
 
 All timestamps are passed in explicitly (``now``), defaulting to
 ``time.time()``, so lease semantics are unit-testable without sleeping.
-The journal is shared across forked worker processes and threads, and
-SQLite connections must not cross either boundary -- so each thread of
-each process lazily opens (and caches) its own connection, keyed by
-pid to survive forks.
+The journal is shared across forked worker processes and threads; its
+connections come from :class:`repro.sqlite_wal.WalConnections`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
-import threading
 import time
 import uuid
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.sqlite_wal import WalConnections
 from repro.sweepq.chunks import Chunk
 
 #: Chunk lifecycle states.
@@ -119,50 +114,13 @@ class SweepJournal:
     """SQLite-backed job/chunk/lease bookkeeping for sweep queues."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._tls = threading.local()
-        with self._connect() as conn:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.executescript(_SCHEMA)
+        self._db = WalConnections(path)
+        self.path = self._db.path
+        self._db.connect().executescript(_SCHEMA)
 
     def close(self) -> None:
-        """Close this thread's cached connection (other threads'
-        connections are reclaimed when their thread dies)."""
-        conn = getattr(self._tls, "conn", None)
-        if conn is not None and self._tls.pid == os.getpid():
-            conn.close()
-        self._tls.conn = None
-
-    @contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        """This thread's cached connection (opened on first use).
-
-        Connection setup and teardown dominate short journal
-        transactions (each close checkpoints the WAL when it is the
-        last connection), so connections live as long as their thread.
-        A forked child sees the parent's cached object but never uses
-        it: the pid key forces a fresh connection after fork.
-        """
-        conn = getattr(self._tls, "conn", None)
-        if conn is None or self._tls.pid != os.getpid():
-            conn = sqlite3.connect(self.path, timeout=30.0,
-                                   isolation_level=None)
-            conn.execute("PRAGMA busy_timeout=30000")
-            # WAL + NORMAL keeps commits durable against process
-            # crashes (our failure model) without an fsync per lease
-            # transition.
-            conn.execute("PRAGMA synchronous=NORMAL")
-            self._tls.conn = conn
-            self._tls.pid = os.getpid()
-        try:
-            yield conn
-        except BaseException:
-            # The connection outlives the call: never leave a broken
-            # transaction open on it.
-            if conn.in_transaction:
-                conn.execute("ROLLBACK")
-            raise
+        """Close this thread's cached connection."""
+        self._db.close()
 
     # -- jobs ------------------------------------------------------------
 
@@ -172,8 +130,7 @@ class SweepJournal:
                    now: float | None = None) -> None:
         now = time.time() if now is None else now
         total = chunks[-1].stop if chunks else 0
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._db.transaction() as conn:
             conn.execute(
                 "INSERT INTO jobs (job_id, created, state, chunk_size, "
                 "total_cells, spec, tasks) VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -185,13 +142,11 @@ class SweepJournal:
                 "VALUES (?, ?, ?, ?, ?, ?)",
                 [(job_id, c.index, c.key, c.start, c.stop, QUEUED)
                  for c in chunks])
-            conn.execute("COMMIT")
 
     def get_job(self, job_id: str) -> JobRecord:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT job_id, created, state, chunk_size, total_cells, "
-                "spec FROM jobs WHERE job_id = ?", (job_id,)).fetchone()
+        row = self._db.execute(
+            "SELECT job_id, created, state, chunk_size, total_cells, "
+            "spec FROM jobs WHERE job_id = ?", (job_id,)).fetchone()
         if row is None:
             raise UnknownJobError(job_id)
         return JobRecord(job_id=row[0], created=row[1], state=row[2],
@@ -199,32 +154,28 @@ class SweepJournal:
                          spec=json.loads(row[5]) if row[5] else None)
 
     def load_tasks(self, job_id: str) -> bytes:
-        with self._connect() as conn:
-            row = conn.execute("SELECT tasks FROM jobs WHERE job_id = ?",
+        row = self._db.execute("SELECT tasks FROM jobs WHERE job_id = ?",
                                (job_id,)).fetchone()
         if row is None:
             raise UnknownJobError(job_id)
         return row[0]
 
     def list_jobs(self) -> list[JobRecord]:
-        with self._connect() as conn:
-            ids = [r[0] for r in conn.execute(
-                "SELECT job_id FROM jobs ORDER BY created")]
+        ids = [r[0] for r in self._db.execute(
+            "SELECT job_id FROM jobs ORDER BY created")]
         return [self.get_job(job_id) for job_id in ids]
 
     def set_job_state(self, job_id: str, state: str) -> None:
-        with self._connect() as conn:
-            conn.execute("UPDATE jobs SET state = ? WHERE job_id = ?",
+        self._db.execute("UPDATE jobs SET state = ? WHERE job_id = ?",
                          (state, job_id))
 
     # -- chunk lifecycle -------------------------------------------------
 
     def chunk_rows(self, job_id: str) -> list[ChunkRecord]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT idx, key, start, stop, state, source, attempts, "
-                "requeues, extras, error FROM chunks WHERE job_id = ? "
-                "ORDER BY idx", (job_id,)).fetchall()
+        rows = self._db.execute(
+            "SELECT idx, key, start, stop, state, source, attempts, "
+            "requeues, extras, error FROM chunks WHERE job_id = ? "
+            "ORDER BY idx", (job_id,)).fetchall()
         return [ChunkRecord(
             index=r[0], key=r[1], start=r[2], stop=r[3], state=r[4],
             source=r[5], attempts=r[6], requeues=r[7],
@@ -242,52 +193,47 @@ class SweepJournal:
         instead of being leased again.
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                while True:
-                    row = conn.execute(
-                        "SELECT idx, start, stop, state, attempts, requeues "
-                        "FROM chunks WHERE job_id = ? AND (state = ? OR "
-                        "(state = ? AND lease_expires <= ?)) "
-                        "ORDER BY idx LIMIT 1",
-                        (job_id, QUEUED, LEASED, now)).fetchone()
-                    if row is None:
-                        return None
-                    idx, start, stop, state, attempts, requeues = row
-                    expired = state == LEASED
-                    if attempts >= max_attempts:
-                        conn.execute(
-                            "UPDATE chunks SET state = ?, lease_id = NULL, "
-                            "error = ? WHERE job_id = ? AND idx = ?",
-                            (FAILED,
-                             f"abandoned after {attempts} expired leases",
-                             job_id, idx))
-                        continue
-                    lease_id = uuid.uuid4().hex
+        with self._db.transaction() as conn:
+            while True:
+                row = conn.execute(
+                    "SELECT idx, start, stop, state, attempts, requeues "
+                    "FROM chunks WHERE job_id = ? AND (state = ? OR "
+                    "(state = ? AND lease_expires <= ?)) "
+                    "ORDER BY idx LIMIT 1",
+                    (job_id, QUEUED, LEASED, now)).fetchone()
+                if row is None:
+                    return None
+                idx, start, stop, state, attempts, requeues = row
+                expired = state == LEASED
+                if attempts >= max_attempts:
                     conn.execute(
-                        "UPDATE chunks SET state = ?, lease_id = ?, "
-                        "worker = ?, lease_expires = ?, attempts = ?, "
-                        "requeues = ? WHERE job_id = ? AND idx = ?",
-                        (LEASED, lease_id, worker, now + lease_ttl,
-                         attempts + 1, requeues + (1 if expired else 0),
+                        "UPDATE chunks SET state = ?, lease_id = NULL, "
+                        "error = ? WHERE job_id = ? AND idx = ?",
+                        (FAILED,
+                         f"abandoned after {attempts} expired leases",
                          job_id, idx))
-                    return Lease(index=idx, start=start, stop=stop,
-                                 lease_id=lease_id, attempts=attempts + 1,
-                                 requeued=expired)
-            finally:
-                conn.execute("COMMIT")
+                    continue
+                lease_id = uuid.uuid4().hex
+                conn.execute(
+                    "UPDATE chunks SET state = ?, lease_id = ?, "
+                    "worker = ?, lease_expires = ?, attempts = ?, "
+                    "requeues = ? WHERE job_id = ? AND idx = ?",
+                    (LEASED, lease_id, worker, now + lease_ttl,
+                     attempts + 1, requeues + (1 if expired else 0),
+                     job_id, idx))
+                return Lease(index=idx, start=start, stop=stop,
+                             lease_id=lease_id, attempts=attempts + 1,
+                             requeued=expired)
 
     def heartbeat(self, job_id: str, index: int, lease_id: str,
                   lease_ttl: float, now: float | None = None) -> bool:
         """Extend a held lease; False if it was reassigned or closed."""
         now = time.time() if now is None else now
-        with self._connect() as conn:
-            cursor = conn.execute(
-                "UPDATE chunks SET lease_expires = ? WHERE job_id = ? AND "
-                "idx = ? AND state = ? AND lease_id = ?",
-                (now + lease_ttl, job_id, index, LEASED, lease_id))
-            return cursor.rowcount == 1
+        cursor = self._db.execute(
+            "UPDATE chunks SET lease_expires = ? WHERE job_id = ? AND "
+            "idx = ? AND state = ? AND lease_id = ?",
+            (now + lease_ttl, job_id, index, LEASED, lease_id))
+        return cursor.rowcount == 1
 
     def complete(self, job_id: str, index: int, lease_id: str,
                  extras: dict[str, Any] | None = None,
@@ -295,52 +241,47 @@ class SweepJournal:
         """Mark a leased chunk done; False if the lease is no longer
         ours (double-lease rejection: the chunk stays with its current
         owner and this worker's results are discarded)."""
-        with self._connect() as conn:
-            cursor = conn.execute(
-                "UPDATE chunks SET state = ?, source = 'worker', "
-                "lease_id = NULL, extras = ? "
-                "WHERE job_id = ? AND idx = ? AND state = ? AND "
-                "lease_id = ?",
-                (DONE, json.dumps(extras) if extras else None,
-                 job_id, index, LEASED, lease_id))
-            return cursor.rowcount == 1
+        cursor = self._db.execute(
+            "UPDATE chunks SET state = ?, source = 'worker', "
+            "lease_id = NULL, extras = ? "
+            "WHERE job_id = ? AND idx = ? AND state = ? AND "
+            "lease_id = ?",
+            (DONE, json.dumps(extras) if extras else None,
+             job_id, index, LEASED, lease_id))
+        return cursor.rowcount == 1
 
     def mark_done_cached(self, job_id: str, index: int) -> bool:
         """Complete a queued chunk whose cells were all cache-answered."""
-        with self._connect() as conn:
-            cursor = conn.execute(
-                "UPDATE chunks SET state = ?, source = 'cache' "
-                "WHERE job_id = ? AND idx = ? AND state = ?",
-                (DONE, job_id, index, QUEUED))
-            return cursor.rowcount == 1
+        cursor = self._db.execute(
+            "UPDATE chunks SET state = ?, source = 'cache' "
+            "WHERE job_id = ? AND idx = ? AND state = ?",
+            (DONE, job_id, index, QUEUED))
+        return cursor.rowcount == 1
 
     def reset_chunk(self, job_id: str, index: int) -> None:
         """Requeue a chunk (e.g. a done chunk whose cached cells were
         evicted before a resume could read them)."""
-        with self._connect() as conn:
-            conn.execute(
-                "UPDATE chunks SET state = ?, source = NULL, "
-                "lease_id = NULL, worker = NULL, lease_expires = NULL, "
-                "extras = NULL, error = NULL WHERE job_id = ? AND idx = ?",
-                (QUEUED, job_id, index))
+        self._db.execute(
+            "UPDATE chunks SET state = ?, source = NULL, "
+            "lease_id = NULL, worker = NULL, lease_expires = NULL, "
+            "extras = NULL, error = NULL WHERE job_id = ? AND idx = ?",
+            (QUEUED, job_id, index))
 
     def fail_chunk(self, job_id: str, index: int, error: str) -> None:
-        with self._connect() as conn:
-            conn.execute(
-                "UPDATE chunks SET state = ?, lease_id = NULL, error = ? "
-                "WHERE job_id = ? AND idx = ?",
-                (FAILED, error, job_id, index))
+        self._db.execute(
+            "UPDATE chunks SET state = ?, lease_id = NULL, error = ? "
+            "WHERE job_id = ? AND idx = ?",
+            (FAILED, error, job_id, index))
 
     # -- progress --------------------------------------------------------
 
     def counters(self, job_id: str) -> dict[str, int]:
         """Progress counters: chunk states, recoveries and cell totals."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT state, COUNT(*), SUM(stop - start), SUM(requeues), "
-                "SUM(CASE WHEN requeues > 0 THEN 1 ELSE 0 END) "
-                "FROM chunks WHERE job_id = ? GROUP BY state",
-                (job_id,)).fetchall()
+        rows = self._db.execute(
+            "SELECT state, COUNT(*), SUM(stop - start), SUM(requeues), "
+            "SUM(CASE WHEN requeues > 0 THEN 1 ELSE 0 END) "
+            "FROM chunks WHERE job_id = ? GROUP BY state",
+            (job_id,)).fetchall()
         out = {state: 0 for state in (QUEUED, LEASED, DONE, FAILED)}
         cells = {state: 0 for state in (QUEUED, LEASED, DONE, FAILED)}
         requeues = 0
@@ -367,8 +308,7 @@ class SweepJournal:
 
     def unfinished(self, job_id: str) -> int:
         """Chunks not yet terminal (neither done nor failed)."""
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT COUNT(*) FROM chunks WHERE job_id = ? AND "
-                "state NOT IN (?, ?)", (job_id, DONE, FAILED)).fetchone()
+        row = self._db.execute(
+            "SELECT COUNT(*) FROM chunks WHERE job_id = ? AND "
+            "state NOT IN (?, ?)", (job_id, DONE, FAILED)).fetchone()
         return int(row[0])

@@ -1,6 +1,8 @@
 """Tests for the content-addressed result cache and its keys."""
 
 import json
+import multiprocessing
+import sqlite3
 
 import pytest
 
@@ -251,3 +253,101 @@ class TestDiskStore:
         cache.flush()  # nothing dirty: file untouched
         assert path.read_text() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _lockstep_writer(path, prefix, barrier, count):
+    """Put and flush ``count`` keys, one per barrier round."""
+    cache = ResultCache(path=path)
+    barrier.wait()
+    for i in range(count):
+        cache.put(f"{prefix}{i}", {"v": i})
+        cache.flush()
+        barrier.wait()
+
+
+class TestSQLiteStore:
+    def test_two_writers_keep_every_entry(self, tmp_path):
+        """Two processes that opened the same file put and flush
+        disjoint keys in lockstep; a fresh reader sees all of them (a
+        whole-file rewrite kept only the last writer's half)."""
+        path = tmp_path / "shared.db"
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        writers = [ctx.Process(target=_lockstep_writer,
+                               args=(path, prefix, barrier, 50))
+                   for prefix in ("a", "b")]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        reader = ResultCache(path=path)
+        assert len(reader) == 100
+        assert all(f"{p}{i}" in reader for p in "ab" for i in range(50))
+
+    def test_flush_writes_only_changed_rows(self, tmp_path):
+        path = tmp_path / "cache.db"
+        cache = ResultCache(path=path)
+        cache.put_many([("a", {"v": 1}), ("b", {"v": 2})])
+        cache.flush()
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE cells SET value = '{\"v\": 0}'")
+        conn.close()
+        cache.put("c", {"v": 3})
+        cache.flush()
+        # "a" and "b" were not rewritten: the out-of-band edit survives.
+        assert ResultCache(path=path).get("a") == {"v": 0}
+
+    def test_eviction_deletes_rows(self, tmp_path):
+        path = tmp_path / "cache.db"
+        cache = ResultCache(capacity=2, path=path)
+        for key in "abc":
+            cache.put(key, {"k": key})
+            cache.flush()
+        with sqlite3.connect(path) as conn:
+            keys = {row[0] for row in conn.execute("SELECT key FROM cells")}
+        conn.close()
+        assert keys == {"b", "c"}
+
+    def test_rewrite_moves_a_row_to_the_reload_end(self, tmp_path):
+        path = tmp_path / "cache.db"
+        first = ResultCache(path=path)
+        for key in "abc":
+            first.put(key, {"k": key})
+        first.flush()
+        first.put("a", {"k": "a2"})
+        first.flush()
+        assert "a" in ResultCache(capacity=1, path=path)
+
+    def test_old_json_cache_is_replaced(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"format": "repro.service.cache",
+                                    "schema": 2, "entries": {"k": {}}}))
+        cache = ResultCache(path=path)
+        assert len(cache) == 0
+        cache.put("k", {"v": 1})
+        cache.flush()
+        assert ResultCache(path=path).get("k") == {"v": 1}
+
+    def test_schema_mismatch_drops_rows(self, tmp_path):
+        path = tmp_path / "cache.db"
+        cache = ResultCache(path=path)
+        cache.put("k", {"v": 1})
+        cache.flush()
+        with sqlite3.connect(path) as conn:
+            conn.execute("PRAGMA user_version=-1")
+        conn.close()
+        assert len(ResultCache(path=path)) == 0
+
+    def test_sqlite_errors_surface_as_oserror(self, tmp_path):
+        path = tmp_path / "cache.db"
+        cache = ResultCache(path=path)
+        with sqlite3.connect(path) as conn:
+            conn.execute("CREATE TRIGGER reject BEFORE INSERT ON cells "
+                         "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
+        conn.close()
+        cache.put("k", {"v": 1})
+        with pytest.raises(OSError, match="disk full"):
+            cache.flush()
+        with pytest.raises(OSError):
+            ResultCache(path=tmp_path)  # a directory, not a file

@@ -10,9 +10,11 @@ model results to a solo solve, end to end through the socket.
 """
 
 import json
+import sqlite3
 import threading
 import time
 import urllib.request
+from contextlib import closing
 
 import pytest
 
@@ -226,6 +228,29 @@ class TestFlusherResilience:
             assert coalescer.stats()["batches"] == 2
         finally:
             coalescer.close()
+
+    def test_real_sqlite_write_failure_serves_uncached(self, tmp_path):
+        """A write the database itself rejects (no monkeypatching) is
+        served uncached, the flusher survives, and the rows land at the
+        next flush that the database accepts."""
+        path = tmp_path / "cache.db"
+        cache = ResultCache(path=path)
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("CREATE TRIGGER reject BEFORE INSERT ON cells "
+                         "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
+        coalescer = SolveCoalescer(cache=cache, window_ms=5, max_batch=64)
+        try:
+            first, _ = coalescer.submit(_task(4))
+            assert first.result(timeout=10).get("error") is None
+            assert len(ResultCache(path=path)) == 0
+            with closing(sqlite3.connect(path)) as conn:
+                conn.execute("DROP TRIGGER reject")
+            second, _ = coalescer.submit(_task(8))
+            assert second.result(timeout=10).get("error") is None
+            assert coalescer.stats()["batches"] == 2
+        finally:
+            coalescer.close()
+        assert len(ResultCache(path=path)) == 2
 
     def test_flush_crash_fails_waiters_but_not_the_flusher(self,
                                                            monkeypatch):
