@@ -319,7 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             tasks = tasks_for_spec(spec)
-            job_id = queue.submit(tasks)
+            job_id = queue.submit(tasks, workers=args.workers)
         outcome = queue.run(job_id, workers=args.workers,
                             chaos_kill=args.chaos_kill)
     except OSError as exc:
@@ -348,7 +348,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"chunks done ({counters['cells_done']} cells, "
           f"{sum(outcome.cached)} from cache{recovery}); "
           f"{outcome.wall_seconds:.3f}s wall, workers={outcome.workers} "
-          f"({outcome.mode})", file=sys.stderr)
+          f"({outcome.mode}), workers_used={counters['workers_used']}",
+          file=sys.stderr)
     if args.state_dir:
         print(f"resume with: repro sweep --state-dir {args.state_dir} "
               f"--resume {job_id}", file=sys.stderr)

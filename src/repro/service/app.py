@@ -258,13 +258,8 @@ class ModelService:
             else max(self.jobs, 1)
         queue = self._sweepq()
         tasks = tasks_for_spec(request.spec())
-        chunk_size = request.chunk_size
-        if chunk_size is None:
-            from repro.sweepq import auto_chunk_size
-            from repro.sweepq.chunks import DEFAULT_CHUNK_SIZE, MVA_CHUNK_CAP
-            cap = DEFAULT_CHUNK_SIZE if request.simulate else MVA_CHUNK_CAP
-            chunk_size = auto_chunk_size(len(tasks), workers, cap=cap)
-        job_id = queue.submit(tasks, chunk_size=chunk_size)
+        job_id = queue.submit(tasks, chunk_size=request.chunk_size,
+                              workers=workers)
         job = _SweepJob(job_id=job_id, workers=workers,
                         submitted_at=time.time())
         job.thread = threading.Thread(
@@ -319,6 +314,7 @@ class ModelService:
             "cells_failed": progress["cells_failed"],
             "requeues": progress["requeues"],
             "recovered": progress["recovered"],
+            "workers_used": progress["workers_used"],
         }
         if job is not None:
             status["workers"] = job.workers

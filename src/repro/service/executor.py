@@ -716,8 +716,9 @@ class SweepExecutor:
         while ``"cells"`` keeps the historical per-cell process pool.
         Rows are byte-identical either way (``tests/test_determinism``).
     chunk_size:
-        Cells per chunk on the chunked path; ``None`` picks
-        :func:`repro.sweepq.auto_chunk_size` per sweep.
+        Cells per chunk on the chunked path; ``None`` takes the
+        queue's default (:meth:`repro.sweepq.SweepQueue.submit`) for
+        the capped worker count.
     state_dir:
         Optional persistent directory for the chunked path's journal
         and cache-backed resume; ``None`` (default) uses an ephemeral
@@ -859,17 +860,11 @@ class SweepExecutor:
         workers = max(1, min(self.jobs, os.cpu_count() or 1))
         queue = None
         try:
-            from repro.sweepq import SweepQueue, auto_chunk_size
-            from repro.sweepq.chunks import DEFAULT_CHUNK_SIZE, MVA_CHUNK_CAP
+            from repro.sweepq import SweepQueue
 
-            cap = (DEFAULT_CHUNK_SIZE
-                   if any(task.method != "mva" for task in tasks)
-                   else MVA_CHUNK_CAP)
             queue = SweepQueue(
                 state_dir=self.state_dir, cache=self.cache,
-                metrics=self.metrics,
-                chunk_size=self.chunk_size or auto_chunk_size(
-                    len(tasks), workers, cap=cap),
+                metrics=self.metrics, chunk_size=self.chunk_size,
                 sim_retries=self.sim_retries)
             outcome = queue.run_tasks(tasks, workers=workers,
                                       precheck_cache=False)

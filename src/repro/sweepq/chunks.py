@@ -79,8 +79,8 @@ def auto_chunk_size(n_cells: int, workers: int,
     Small sweeps shard finely so every worker gets something to do;
     large sweeps cap at ``cap`` cells per lease so the batch engine
     amortizes the journal round-trip without a lost lease costing much
-    re-work.  Callers that know the sweep is MVA-only pass
-    :data:`MVA_CHUNK_CAP` for full batch width.
+    re-work.  :meth:`repro.sweepq.SweepQueue.submit` passes
+    :data:`MVA_CHUNK_CAP` for MVA-only sweeps (full batch width).
     """
     if n_cells < 1:
         return 1

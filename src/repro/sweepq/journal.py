@@ -276,22 +276,28 @@ class SweepJournal:
     # -- progress --------------------------------------------------------
 
     def counters(self, job_id: str) -> dict[str, int]:
-        """Progress counters: chunk states, recoveries and cell totals."""
+        """Progress counters: chunk states, recoveries, cell totals and
+        ``workers_used``, the distinct workers that completed a chunk
+        (chunks answered from the cache have no worker)."""
         rows = self._db.execute(
             "SELECT state, COUNT(*), SUM(stop - start), SUM(requeues), "
-            "SUM(CASE WHEN requeues > 0 THEN 1 ELSE 0 END) "
+            "SUM(CASE WHEN requeues > 0 THEN 1 ELSE 0 END), "
+            "COUNT(DISTINCT CASE WHEN source = 'worker' THEN worker END) "
             "FROM chunks WHERE job_id = ? GROUP BY state",
             (job_id,)).fetchall()
         out = {state: 0 for state in (QUEUED, LEASED, DONE, FAILED)}
         cells = {state: 0 for state in (QUEUED, LEASED, DONE, FAILED)}
         requeues = 0
         recovered = 0
-        for state, count, cell_count, state_requeues, state_recovered in rows:
+        workers_used = 0
+        for (state, count, cell_count, state_requeues, state_recovered,
+             state_workers) in rows:
             out[state] = count
             cells[state] = cell_count or 0
             requeues += state_requeues or 0
             if state == DONE:
                 recovered = state_recovered or 0
+                workers_used = state_workers
         total = sum(out.values())
         return {
             "chunks": total,
@@ -304,6 +310,7 @@ class SweepJournal:
             "cells": sum(cells.values()),
             "cells_done": cells[DONE],
             "cells_failed": cells[FAILED],
+            "workers_used": workers_used,
         }
 
     def unfinished(self, job_id: str) -> int:

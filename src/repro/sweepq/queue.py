@@ -37,16 +37,22 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Any
 
 from repro.service.cache import ResultCache
 from repro.service.metrics import MetricsRegistry
-from repro.sweepq.chunks import DEFAULT_CHUNK_SIZE, chunk_tasks
+from repro.sweepq.chunks import (
+    DEFAULT_CHUNK_SIZE,
+    MVA_CHUNK_CAP,
+    auto_chunk_size,
+    chunk_tasks,
+)
 from repro.sweepq.journal import (
     DONE,
     FAILED,
@@ -58,6 +64,24 @@ from repro.sweepq.worker import drain_in_process, worker_main
 
 #: Parent supervision poll while workers hold leases.
 _SUPERVISE_INTERVAL = 0.05
+
+
+def _worker_context() -> Any:
+    """The multiprocessing context that starts chunk workers.
+
+    A plain fork is cheapest (nothing to re-import) and safe from a
+    single-threaded parent such as the CLI.  From a threaded parent --
+    the HTTP service runs sweeps on a background thread while other
+    threads read the journal and the cache -- another thread may hold
+    SQLite's global mutex at the instant of the fork, and the child then
+    blocks forever on its first journal query.  Such parents start
+    workers from a single-threaded forkserver instead."""
+    if (threading.active_count() > 1
+            and "forkserver" in get_all_start_methods()):
+        ctx = get_context("forkserver")
+        ctx.set_forkserver_preload(["repro.sweepq.worker"])
+        return ctx
+    return get_context()
 
 
 @dataclass(frozen=True)
@@ -96,8 +120,8 @@ class SweepQueue:
         Optional registry; progress lands in ``repro_sweep_chunks``
         gauges (labelled by state) and recovery counters.
     chunk_size:
-        Cells per chunk for new jobs; ``None`` picks
-        :func:`~repro.sweepq.chunks.auto_chunk_size` at submit time.
+        Cells per chunk for new jobs; ``None`` leaves the choice to
+        :meth:`submit`'s default policy.
     lease_ttl:
         Seconds a worker lease lives between heartbeats before another
         worker may take the chunk over.
@@ -147,13 +171,28 @@ class SweepQueue:
 
     def submit(self, tasks: list[Any], job_id: str | None = None,
                chunk_size: int | None = None,
-               spec_doc: dict[str, Any] | None = None) -> str:
+               spec_doc: dict[str, Any] | None = None,
+               workers: int = 1) -> str:
         """Journal a new job; returns its id.  Chunk layout is fixed
-        here and never re-derived (resume sees the identical table)."""
+        here and never re-derived (resume sees the identical table).
+
+        This is the one chunk-size policy for every entry point
+        (``repro sweep``, :class:`~repro.service.executor.SweepExecutor`
+        and ``POST /v1/sweep``).  An explicit ``chunk_size`` (here or
+        on the queue) wins; otherwise
+        :func:`~repro.sweepq.chunks.auto_chunk_size` gives each of
+        ``workers`` ~4 chunks, capped at
+        :data:`~repro.sweepq.chunks.MVA_CHUNK_CAP` for MVA-only tasks
+        and :data:`~repro.sweepq.chunks.DEFAULT_CHUNK_SIZE` otherwise."""
         if not tasks:
             raise ValueError("cannot submit an empty task list")
         job_id = job_id or uuid.uuid4().hex[:12]
-        size = chunk_size or self.chunk_size or DEFAULT_CHUNK_SIZE
+        size = chunk_size or self.chunk_size
+        if not size:
+            mva_only = all(task.method == "mva" for task in tasks)
+            size = auto_chunk_size(
+                len(tasks), workers,
+                cap=MVA_CHUNK_CAP if mva_only else DEFAULT_CHUNK_SIZE)
         chunks = chunk_tasks(tasks, size)
         self.journal.create_job(job_id, pickle.dumps(tasks), chunks,
                                 chunk_size=size, spec=spec_doc)
@@ -177,7 +216,7 @@ class SweepQueue:
                   chunk_size: int | None = None,
                   precheck_cache: bool = True) -> QueueOutcome:
         """``submit`` + ``run`` in one call (the executor's entry)."""
-        job_id = self.submit(tasks, chunk_size=chunk_size)
+        job_id = self.submit(tasks, chunk_size=chunk_size, workers=workers)
         return self.run(job_id, workers=workers,
                         precheck_cache=precheck_cache, _tasks=tasks)
 
@@ -330,7 +369,7 @@ class SweepQueue:
         unfinished chunks, up to a bounded budget; past the budget the
         parent drains the remainder in-process, so ``run`` terminates
         even on a platform that keeps killing children."""
-        ctx = get_context()
+        ctx = _worker_context()
         try:
             procs = []
             for rank in range(workers):

@@ -371,6 +371,15 @@ def _replacement_writeback(
     return (w.rep_p * mix.private_miss + w.rep_sw * mix.sw_miss) / p_rr
 
 
+def _clamp_probability(value: float) -> float:
+    """Pin a derived probability into [0, 1].
+
+    Sums and ratios of event-class products can round past 1 (e.g.
+    ``p_rr = 1.0000000000000002`` when every reference misses).
+    In-range values pass through bit-for-bit."""
+    return min(1.0, max(0.0, value))
+
+
 def derive_inputs(
     workload: WorkloadParameters,
     arch: ArchitectureParams | None = None,
@@ -406,9 +415,9 @@ def derive_inputs(
     mset = _validate_mods(mods)
     mix = ReferenceMix.from_workload(workload)
 
-    p_local = mix.p_local(mset)
-    p_bc = mix.p_broadcast(mset)
-    p_rr = mix.p_remote_read(mset)
+    p_local = _clamp_probability(mix.p_local(mset))
+    p_bc = _clamp_probability(mix.p_broadcast(mset))
+    p_rr = _clamp_probability(mix.p_remote_read(mset))
 
     if p_rr > 0.0:
         sr_miss_frac = mix.sro_miss / p_rr
@@ -416,10 +425,11 @@ def derive_inputs(
     else:
         sr_miss_frac = sw_miss_frac = 0.0
 
-    p_csup_rr = (workload.csupply_sro * sr_miss_frac
-                 + workload.csupply_sw * sw_miss_frac)
+    p_csup_rr = _clamp_probability(workload.csupply_sro * sr_miss_frac
+                                   + workload.csupply_sw * sw_miss_frac)
     p_supplier_wb = p_csup_rr * workload.wb_csupply
-    p_reqwb_rr = _replacement_writeback(workload, mix, p_rr, replacement_weighting)
+    p_reqwb_rr = _clamp_probability(
+        _replacement_writeback(workload, mix, p_rr, replacement_weighting))
 
     t_block = arch.block_transfer_cycles
     if 2 in mset:

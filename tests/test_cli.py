@@ -243,6 +243,24 @@ class TestSweepSubcommand:
         assert second.out == first.out
         assert "12 from cache" in second.err
 
+    def test_des_sweep_spreads_over_workers(self, capsys):
+        """No --chunk-size: the queue's default shards a DES sweep into
+        several chunks, and both workers lease some (one on a one-core
+        host, where either outcome is possible)."""
+        import os
+        import re
+
+        assert main(["sweep", "--protocols", "wo", "-n", "2",
+                     "--simulate", "--sim-engine", "vector",
+                     "--requests", "300", "--sim-reps", "2",
+                     "--workers", "2"]) == 0
+        err = capsys.readouterr().err
+        done, chunks = map(int, re.search(r"(\d+)/(\d+) chunks done",
+                                          err).groups())
+        assert done == chunks > 1
+        used = int(re.search(r"workers_used=(\d+)", err).group(1))
+        assert min(2, os.cpu_count() or 1) <= used <= 2
+
     def test_resume_unknown_job_exits_2(self, tmp_path, capsys):
         state = str(tmp_path / "state")
         assert main(["sweep"] + self.ARGS + ["--state-dir", state]) == 0

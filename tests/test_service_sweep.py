@@ -8,6 +8,7 @@ service's shared result cache, so a ``/v1/grid`` request after
 completion is answered entirely from cache (asserted here).
 """
 
+import itertools
 import json
 import threading
 import time
@@ -85,6 +86,7 @@ class TestSweepSubmit:
         assert final["cells_failed"] == 0
         assert final["requeues"] == 0
         assert final["recovered"] == 0
+        assert 1 <= final["workers_used"] <= 2
         assert final["workers"] == 2
         assert final["wall_seconds"] > 0
 
@@ -103,6 +105,38 @@ class TestSweepSubmit:
             text = resp.read().decode()
         assert 'repro_sweep_chunks{state="done"}' in text
         assert "repro_sweep_cells_done" in text
+
+
+#: 12 cells: six MVA rows, each with its simulation row.
+_MIXED = dict(_BODY, n=[2, 4, 8], simulate=True, requests=300)
+#: 3072 MVA cells: all 16 protocols, three sharing levels, N = 1..64.
+_MVA_ONLY = {"protocols": ["write-once"] + [
+    ",".join(map(str, mods)) for k in (1, 2, 3, 4)
+    for mods in itertools.combinations((1, 2, 3, 4), k)],
+    "n": list(range(1, 65))}
+
+
+class TestSweepChunkTables:
+    """The queue's default chunk size gives ``POST /v1/sweep`` the same
+    (chunks, chunk size) it had when the service computed its own; the
+    fixture's service defaults to ``workers`` = its ``jobs`` = 2."""
+
+    @pytest.mark.parametrize("body, table", [
+        (_MIXED, (6, 2)), (dict(_MIXED, workers=4), (12, 1)),
+        (_MVA_ONLY, (8, 384)), (dict(_MVA_ONLY, workers=1), (4, 768)),
+    ])
+    def test_chunk_table(self, server, body, table):
+        status, _, submitted = _post(server, "/v1/sweep", body)
+        assert status == 200
+        assert (submitted["chunks"], submitted["chunk_size"]) == table
+        final = _wait_done(server, submitted["job_id"])
+        assert final["chunks"]["done"] == table[0]
+
+    def test_explicit_chunk_size_wins(self, server):
+        _, _, submitted = _post(server, "/v1/sweep",
+                                dict(_MIXED, chunk_size=5))
+        assert (submitted["chunks"], submitted["chunk_size"]) == (3, 5)
+        _wait_done(server, submitted["job_id"])
 
 
 class TestSweepErrors:

@@ -196,3 +196,21 @@ class TestCounters:
         assert counters["cells"] == 10
         assert counters["cells_done"] == 8
         assert journal.unfinished(job_id) == 1
+
+    def test_workers_used_counts_distinct_completing_workers(self, journal):
+        """Only workers that completed a chunk count: not a holder that
+        lost its lease, nor a chunk answered from the cache."""
+        job_id = _job(journal, n_cells=16, size=4)  # four chunks
+        assert journal.counters(job_id)["workers_used"] == 0
+        stale = journal.claim(job_id, "w1", lease_ttl=10, now=0.0)
+        takeover = journal.claim(job_id, "w2", lease_ttl=10, now=11.0)
+        assert takeover.index == stale.index
+        journal.complete(job_id, takeover.index, takeover.lease_id)
+        again = journal.claim(job_id, "w2", lease_ttl=10, now=12.0)
+        journal.complete(job_id, again.index, again.lease_id)
+        assert journal.counters(job_id)["workers_used"] == 1
+        journal.mark_done_cached(job_id, 2)
+        assert journal.counters(job_id)["workers_used"] == 1
+        last = journal.claim(job_id, "w3", lease_ttl=10, now=13.0)
+        journal.complete(job_id, last.index, last.lease_id)
+        assert journal.counters(job_id)["workers_used"] == 2

@@ -5,11 +5,15 @@ caching, or crash history may show up in the results: every test here
 compares against the plain serial executor's values.
 """
 
+import os
+import threading
+from dataclasses import dataclass
+
 import pytest
 
 from repro.analysis.grid import GridCell, GridSpec
 from repro.core.solver import FixedPointSolver
-from repro.protocols.modifications import ProtocolSpec
+from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.service.cache import ResultCache
 from repro.service.executor import (
     CellTask,
@@ -17,7 +21,8 @@ from repro.service.executor import (
     tasks_for_spec,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.sweepq import ResultStore, SweepQueue
+from repro.sweepq import ResultStore, SweepJournal, SweepQueue
+from repro.sweepq import queue as queue_module
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 SPEC = GridSpec(
@@ -233,6 +238,30 @@ class TestCrashRecovery:
         assert outcome.counters["failed"] == 1
 
 
+class TestWorkerStart:
+    """Workers fork straight from a single-threaded parent; a threaded
+    one (the HTTP service) starts them from a forkserver, because a
+    fork taken while another thread holds SQLite's global mutex leaves
+    the child blocked on its first journal query."""
+
+    @pytest.mark.parametrize("threads, method", [(1, "fork"),
+                                                 (3, "forkserver")])
+    def test_start_method(self, monkeypatch, threads, method):
+        monkeypatch.setattr(queue_module.threading, "active_count",
+                            lambda: threads)
+        assert queue_module._worker_context().get_start_method() == method
+
+    def test_threaded_parent_matches_serial_executor(self, tmp_path):
+        tasks = _tasks()
+        outcome = {}
+        thread = threading.Thread(target=lambda: outcome.update(
+            run=_queue(tmp_path).run_tasks(tasks, workers=2)))
+        thread.start()
+        thread.join(timeout=120)
+        assert outcome["run"].counters["workers_used"] >= 1
+        assert _rows_from(tasks, outcome["run"]) == _serial_rows(tasks)
+
+
 class TestValidation:
     def test_empty_submit_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty task list"):
@@ -254,3 +283,81 @@ class TestValidation:
         assert state_dir.exists()
         queue.close()
         assert not state_dir.exists()
+
+
+@dataclass(frozen=True)
+class _StubTask:
+    """All ``submit`` reads of a task: its cache key and method."""
+
+    key: str
+    method: str = "mva"
+
+
+def _stubs(n_cells, sim_at=None):
+    return [_StubTask(key=f"cell-{i}",
+                      method="sim" if i == sim_at else "mva")
+            for i in range(n_cells)]
+
+
+class TestChunkPolicy:
+    """``submit`` owns the one default chunk-size rule that ``repro
+    sweep``, the executor and ``POST /v1/sweep`` all use."""
+
+    @staticmethod
+    def _chunk_size(tmp_path, tasks, queue_chunk_size=None, **kwargs):
+        queue = SweepQueue(state_dir=tmp_path / "q",
+                           chunk_size=queue_chunk_size)
+        try:
+            return queue.progress(queue.submit(tasks, **kwargs))[
+                "chunk_size"]
+        finally:
+            queue.close()
+
+    def test_mva_only_caps_at_full_batch_width(self, tmp_path):
+        assert self._chunk_size(tmp_path, _stubs(5000)) == 1024
+
+    def test_simulation_cells_cap_lower(self, tmp_path):
+        assert self._chunk_size(tmp_path, _stubs(5000, sim_at=7)) == 256
+
+    @pytest.mark.parametrize("workers, size", [(1, 12), (2, 6), (4, 3)])
+    def test_about_four_chunks_per_worker(self, tmp_path, workers, size):
+        assert self._chunk_size(tmp_path, _stubs(48, sim_at=0),
+                                workers=workers) == size
+
+    def test_explicit_chunk_size_wins(self, tmp_path):
+        tasks = _stubs(5000)
+        assert self._chunk_size(tmp_path / "a", tasks, chunk_size=7) == 7
+        assert self._chunk_size(tmp_path / "b", tasks,
+                                queue_chunk_size=5) == 5
+        assert self._chunk_size(tmp_path / "c", tasks, chunk_size=7,
+                                queue_chunk_size=5) == 7
+
+
+#: 12 cells: six MVA rows, each with its simulation row.
+_MIXED = GridSpec(protocols=[ProtocolSpec(), ProtocolSpec.of(1, 4)],
+                  sizes=[2, 4, 8],
+                  sharing_levels=[SharingLevel.FIVE_PERCENT],
+                  include_simulation=True, sim_requests=300)
+#: 3072 MVA cells: all 16 protocols, three sharing levels, N = 1..64.
+_MVA_ONLY = GridSpec(protocols=all_combinations(), sizes=list(range(1, 65)))
+
+
+class TestExecutorChunkTables:
+    """``SweepExecutor(jobs=4)`` keeps the chunk tables it had when it
+    computed its own default: (chunks, chunk size) per core count."""
+
+    @pytest.mark.parametrize("spec, cores, table", [
+        (_MIXED, 1, (4, 3)), (_MIXED, 2, (6, 2)), (_MIXED, 4, (12, 1)),
+        (_MVA_ONLY, 1, (4, 768)), (_MVA_ONLY, 2, (8, 384)),
+    ])
+    def test_chunk_table(self, tmp_path, monkeypatch, spec, cores, table):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        SweepExecutor(jobs=4, state_dir=str(tmp_path)).run(
+            tasks_for_spec(spec))
+        journal = SweepJournal(tmp_path / "journal.db")
+        try:
+            (job,) = journal.list_jobs()
+            chunks = journal.counters(job.job_id)["chunks"]
+            assert (chunks, job.chunk_size) == table
+        finally:
+            journal.close()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workload.derived import (
@@ -45,6 +45,18 @@ def workloads() -> st.SearchStrategy[WorkloadParameters]:
 
 
 MOD_SETS = st.sets(st.integers(min_value=1, max_value=4), max_size=4)
+
+_RATES = ("h_private", "h_sro", "h_sw", "r_private", "r_sw",
+          "amod_private", "amod_sw", "csupply_sro", "csupply_sw",
+          "wb_csupply", "rep_p", "rep_sw")
+
+
+def _edge_workload(a, b, c, **rates):
+    """A mix normalized as ``workloads()`` draws it; unnamed rates 0."""
+    total = a + b + c
+    return WorkloadParameters(
+        tau=0.0, p_private=a / total, p_sro=b / total, p_sw=c / total,
+        **{**dict.fromkeys(_RATES, 0.0), **rates})
 
 
 class TestReferenceMix:
@@ -165,6 +177,16 @@ class TestDerivedInputs:
         assert math.isclose(inputs.memory_ops_per_request(), expected)
 
     @given(workloads(), MOD_SETS)
+    # Unclamped, each rounds to 1.0000000000000002: p_rr (a Hypothesis
+    # find: p_private=0.999000999..., p_sro=0.000999000...), p_local
+    # and p_csupwb_rr.
+    @example(_edge_workload(1.0, 0.001, 0.0), set())
+    @example(_edge_workload(1.0, 0.001, 0.0, h_private=1.0, h_sro=1.0,
+                            r_private=1.0, r_sw=1.0), set())
+    @example(_edge_workload(1.0, 1.0, 0.3, h_private=1.0, r_sw=0.5,
+                            amod_private=0.5, amod_sw=0.5,
+                            csupply_sro=1.0, csupply_sw=1.0,
+                            wb_csupply=1.0, rep_p=1.0, rep_sw=1.0), set())
     @settings(max_examples=100)
     def test_derived_quantities_in_range(self, w, mods):
         inputs = derive_inputs(w, mods=mods)
