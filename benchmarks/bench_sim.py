@@ -9,7 +9,7 @@ per-event Python cost for each one.  ``repro.sim.vector`` advances all
 replications in lockstep over NumPy structured state, so the per-tick
 interpreter overhead amortizes across the replication axis.
 
-Two claims are checked here:
+Three claims are checked here:
 
 1. **Throughput** -- on the 16-combination validation corpus (every
    modification combination, N=8, 5% sharing) the vector engine
@@ -19,6 +19,13 @@ Two claims are checked here:
 2. **Scaling** -- throughput grows with the replication width (the
    whole point of the lockstep layout); the reps axis is swept on the
    base Write-Once combination and reported alongside.
+3. **Packing** -- the 12 vector-DES cells of perfbench ``sweep-des``
+   (Write-Once and WO+1+2+3+4, three sharing levels, N = 4 and 16, 16
+   replications of 2500 measured requests) run as one 192-lane
+   lockstep pack against one cell at a time with the same seeds.  The
+   rows must be bit-identical, and the median of ``PACK_REPEATS``
+   alternating pairs must keep at least ``PACK_FLOOR`` times the
+   one-at-a-time throughput.
 
 The engines are *statistically* equivalent, not bit-equal (different
 uniform streams per seed; ``repro verify --tier full`` owns that
@@ -26,16 +33,19 @@ oracle), so this bench records the aggregate speedup gap per combo as
 context but only asserts throughput.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke job) shrinks the
-corpus and replication widths and relaxes the floor -- narrow widths
-cannot amortize the per-tick dispatch cost, and CI runners are noisy.
+corpus, the replication widths and the packed cells and relaxes the
+floors -- narrow widths cannot amortize the per-tick dispatch cost, and
+CI runners are noisy.
 
 Numbers land in ``output/sim.txt`` (human-readable), ``output/sim.json``
 (machine-readable CI artifact) and ``benchmarks/BENCH_sim.json`` (the
 committed baseline; see docs/performance.md for the schema).
 """
 
+import dataclasses
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -44,10 +54,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import once  # noqa: E402
 
-from repro.protocols.modifications import all_combinations
+from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SnoopingBusSimulator
-from repro.sim.vector import simulate_many
+from repro.sim.vector import simulate_many, simulate_pack
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -70,6 +80,22 @@ SPEEDUP_FLOOR = 1.0 if QUICK else 10.0
 _CORPUS = all_combinations()
 if QUICK:
     _CORPUS = _CORPUS[:4]
+
+#: The packed leg: perfbench ``sweep-des``'s DES cells at its seed 1
+#: (``repro sweep --seed 1`` gives a cell at size N the seed 1 + N).
+PACK_MODS = ((), (1, 2, 3, 4))
+PACK_SIZES = (4,) if QUICK else (4, 16)
+PACK_LEVELS = ((SharingLevel.FIVE_PERCENT,) if QUICK
+               else tuple(SharingLevel))
+PACK_REPS = 4 if QUICK else 16
+PACK_MEASURED = 500 if QUICK else 2_500
+PACK_SEED_BASE = 1
+#: Alternating (packed, one-at-a-time) pairs; the gate is their median.
+PACK_REPEATS = 1 if QUICK else 5
+#: Floor on packed / one-at-a-time throughput.  Two full-mode runs of
+#: five pairs each on a 2-vCPU host measured 4.65x-6.49x per pair; the
+#: floor sits below the worst single pair.
+PACK_FLOOR = 1.0 if QUICK else 4.0
 
 
 def _config(spec, seed=SEED):
@@ -197,3 +223,67 @@ def test_corpus_throughput(benchmark, emit, output_dir):
     assert ratio >= SPEEDUP_FLOOR, (
         f"vector engine {ratio:.2f}x over scalar on the validation "
         f"corpus, below the {SPEEDUP_FLOOR}x floor")
+
+
+def _pack_configs():
+    return [SimulationConfig(
+        n_processors=n, workload=appendix_a_workload(level),
+        protocol=ProtocolSpec.of(*mods), seed=PACK_SEED_BASE + n,
+        measured_requests=PACK_MEASURED)
+        for mods in PACK_MODS for level in PACK_LEVELS for n in PACK_SIZES]
+
+
+def _rows(result):
+    """One cell's replication rows plus its aggregate, as plain data."""
+    return ([dataclasses.asdict(result.replication(r))
+             for r in range(result.n_replications)]
+            + [dataclasses.asdict(result.aggregate())])
+
+
+def test_packed_sweep_cells(benchmark, emit, output_dir):
+    """A 192-lane pack beats the same cells one at a time, same rows."""
+    configs = _pack_configs()
+    reps = [PACK_REPS] * len(configs)
+
+    def run_pairs():
+        pairs = []
+        for _ in range(PACK_REPEATS):
+            packed, packed_s = _timed(lambda: simulate_pack(configs, reps))
+            alone, alone_s = _timed(lambda: [
+                simulate_many(config, reps=PACK_REPS)
+                for config in configs])
+            assert [_rows(r) for r in packed] == [_rows(r) for r in alone], (
+                "a packed cell's rows differ from the cell run alone")
+            pairs.append((packed_s, alone_s))
+        return pairs
+
+    pairs = once(benchmark, run_pairs)
+    ratios = sorted(alone_s / packed_s for packed_s, alone_s in pairs)
+    lanes = len(configs) * PACK_REPS
+    requests = lanes * PACK_MEASURED
+    lines = [f"E17 packed sweep-des cells ({len(configs)} cells x "
+             f"{PACK_REPS} reps = {lanes} lanes, {PACK_MEASURED} measured "
+             f"requests/replication{', quick mode' if QUICK else ''}):"]
+    for packed_s, alone_s in pairs:
+        lines.append(f"  packed {packed_s:6.2f} s ({requests / packed_s:8.0f}"
+                     f" req/s), one at a time {alone_s:6.2f} s "
+                     f"({requests / alone_s:8.0f} req/s): "
+                     f"{alone_s / packed_s:4.2f}x")
+    lines.append(f"  throughput ratio over {len(pairs)} pairs: worst "
+                 f"{ratios[0]:.2f}x, median "
+                 f"{statistics.median(ratios):.2f}x, best {ratios[-1]:.2f}x "
+                 f"(median floor {PACK_FLOOR}x); rows bit-identical")
+    emit("sim.txt", "\n".join(lines) + "\n")
+    _write_json(output_dir, {"packed": {
+        "cells": len(configs), "reps": PACK_REPS, "lanes": lanes,
+        "measured_requests": PACK_MEASURED, "quick": QUICK,
+        "pairs": [{"packed_s": p, "one_at_a_time_s": a}
+                  for p, a in pairs],
+        "throughput_x": {"min": ratios[0],
+                         "median": statistics.median(ratios),
+                         "max": ratios[-1]},
+        "floor": PACK_FLOOR, "rows_identical": True}})
+    median = statistics.median(ratios)
+    assert median >= PACK_FLOOR, (
+        f"packed run {median:.2f}x the one-at-a-time throughput "
+        f"(median of {len(ratios)} pairs), below the {PACK_FLOOR}x floor")

@@ -65,7 +65,7 @@ from repro.service.metrics import (
     MetricsRegistry,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.system import SIM_ENGINES, simulate
+from repro.sim.system import SIM_ENGINES, SimulationResult, simulate
 from repro.workload.parameters import (
     ArchitectureParams,
     SharingLevel,
@@ -120,6 +120,14 @@ class CellTask:
             raise ValueError(f"sim_reps must be >= 1, got {self.sim_reps!r}")
         if self.sim_engine == "scalar" and self.sim_reps != 1:
             raise ValueError("sim_reps > 1 requires sim_engine='vector'")
+
+    @property
+    def sim_lanes(self) -> int:
+        """Lockstep lanes this cell occupies in a vector-DES pack
+        (``sim_reps``), or 0 when it does not run on the vector DES."""
+        if self.method == "sim" and self.sim_engine == "vector":
+            return self.sim_reps
+        return 0
 
     @property
     def key(self) -> str:
@@ -235,15 +243,26 @@ def evaluate_task(task: CellTask) -> dict[str, Any]:
             "warnings": [w.as_dict() for w in report.warnings],
             "elapsed_s": time.perf_counter() - started,
         }
-    sim_config = SimulationConfig(
+    config = sim_config(task)
+    if task.sim_engine == "scalar":
+        result = simulate(config)
+    else:
+        result = simulate(config, engine=task.sim_engine,
+                          reps=task.sim_reps)
+    return _sim_value(task, result, time.perf_counter() - started)
+
+
+def sim_config(task: CellTask) -> SimulationConfig:
+    """The simulation run a ``method="sim"`` cell describes."""
+    return SimulationConfig(
         n_processors=task.n, workload=task.workload,
         protocol=task.protocol, arch=task.arch,
         seed=task.sim_seed, measured_requests=task.sim_requests)
-    if task.sim_engine == "scalar":
-        result = simulate(sim_config)
-    else:
-        result = simulate(sim_config, engine=task.sim_engine,
-                          reps=task.sim_reps)
+
+
+def _sim_value(task: CellTask, result: SimulationResult,
+               elapsed_s: float) -> dict[str, Any]:
+    """The cache value of one simulated cell."""
     cell = GridCell(
         protocol=task.protocol.label,
         sharing=task.sharing_label,
@@ -260,7 +279,7 @@ def evaluate_task(task: CellTask) -> dict[str, Any]:
         "cell": cell.as_row(),
         "iterations": None,
         "effective_seed": task.sim_seed,
-        "elapsed_s": time.perf_counter() - started,
+        "elapsed_s": elapsed_s,
     }
     if task.sim_engine != "scalar":
         value["sim_engine"] = task.sim_engine
@@ -404,6 +423,71 @@ def evaluate_mva_batch(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
         if "error" not in value:
             value["elapsed_s"] = share
         value["attempts"] = 1
+    return values  # type: ignore[return-value]
+
+
+def evaluate_sim_pack(tasks: Sequence[CellTask],
+                      sim_retries: int) -> list[dict[str, Any]]:
+    """Solve many vector-DES cells with one lockstep run per pack.
+
+    The packed mirror of calling :func:`evaluate_with_retry` on each
+    cell: returns the same cache-value dicts, in task order, with the
+    same ``effective_seed`` and ``attempts: 1`` -- and the same rows,
+    because a lane's trajectory depends only on its own seed and cell
+    (:mod:`repro.sim.vector`).  Cells are grouped by
+    :func:`repro.sim.vector.pack_key`, and each group runs as packs of
+    at most :data:`repro.sweepq.chunks.PACK_LANE_CAP` lanes (a wider
+    cell runs alone); each value records ``sim_pack_cells``, the number
+    of cells that shared its run, and ``elapsed_s`` is that run's
+    wall-clock amortized over its cells.  If a packed run raises, its
+    cells fall back to the per-cell retrying path, so packing can never
+    fail a cell that the per-cell path would have solved.
+    """
+    from repro.sim.vector import VectorSnoopingBusSimulator, pack_key
+    from repro.sweepq.chunks import PACK_LANE_CAP
+
+    values: list[dict[str, Any] | None] = [None] * len(tasks)
+    groups: dict[tuple[Any, ...], list[tuple[int, SimulationConfig]]] = {}
+    for index, task in enumerate(tasks):
+        if not task.sim_lanes:
+            raise ValueError("evaluate_sim_pack only accepts vector-DES "
+                             f"cells, got {task.method}/{task.sim_engine}")
+        try:
+            config = sim_config(task)
+        except Exception:  # noqa: BLE001 - the per-cell path reports it
+            values[index] = evaluate_with_retry(task, sim_retries)
+            continue
+        groups.setdefault(pack_key(config), []).append((index, config))
+
+    packs: list[list[tuple[int, SimulationConfig]]] = []
+    for group in groups.values():
+        pack: list[tuple[int, SimulationConfig]] = []
+        width = 0
+        for index, config in group:
+            if pack and width + tasks[index].sim_lanes > PACK_LANE_CAP:
+                packs.append(pack)
+                pack, width = [], 0
+            pack.append((index, config))
+            width += tasks[index].sim_lanes
+        packs.append(pack)
+
+    for members in packs:
+        started = time.perf_counter()
+        try:
+            results = VectorSnoopingBusSimulator.pack(
+                [config for _, config in members],
+                [tasks[index].sim_reps for index, _ in members]).run()
+        except Exception:  # noqa: BLE001 - pack fallback, not cell errors
+            for index, _ in members:
+                values[index] = evaluate_with_retry(tasks[index],
+                                                    sim_retries)
+            continue
+        share = (time.perf_counter() - started) / len(members)
+        for (index, _), result in zip(members, results):
+            value = _sim_value(tasks[index], result.aggregate(), share)
+            value["attempts"] = 1
+            value["sim_pack_cells"] = len(members)
+            values[index] = value
     return values  # type: ignore[return-value]
 
 
@@ -705,9 +789,11 @@ class SweepExecutor:
         MVA evaluation backend: ``"scalar"`` (default; per-cell
         fixed-point solves, the historical path) or ``"batch"`` (all
         MVA cells of a sweep solved together by the vectorized
-        :mod:`repro.core.batch` engine).  Simulation cells always take
-        the scalar path.  Cache keys do not include the engine, so both
-        engines share cache entries.
+        :mod:`repro.core.batch` engine).  The engine only concerns MVA
+        cells: vector-DES cells are always packed into lockstep runs
+        (:func:`evaluate_sim_pack`, per chunk on the chunked path) and
+        scalar-DES cells always run one at a time.  Cache keys do not
+        include the engine, so both engines share cache entries.
     dispatch:
         How jobs>1 sweeps fan out: ``"auto"`` (default) and
         ``"chunked"`` route through the :class:`repro.sweepq.SweepQueue`
@@ -796,10 +882,7 @@ class SweepExecutor:
                     else:
                         rest_mode = self._run_parallel(pending_rest, values)
                 else:
-                    for index, task in pending_rest:
-                        values[index] = self._absorb(
-                            task, index,
-                            evaluate_with_retry(task, self.sim_retries))
+                    self._run_serial(pending_rest, values)
                     rest_mode = "serial"
                 mode = (f"batch+{rest_mode}" if batch_pending else rest_mode)
         finally:
@@ -839,6 +922,24 @@ class SweepExecutor:
             self.cache.flush()
         for (index, task), value in zip(pending, results):
             values[index] = self._absorb(task, index, value, store=False)
+
+    def _run_serial(self, pending: list[tuple[int, CellTask]],
+                    values: dict[int, dict[str, Any]]) -> None:
+        """Evaluate in-process, in task order; the vector-DES cells are
+        solved first, packed into lockstep runs by
+        :func:`evaluate_sim_pack`."""
+        packed = [(index, task) for index, task in pending if task.sim_lanes]
+        solved: dict[int, dict[str, Any]] = {}
+        if packed:
+            solved = dict(zip(
+                (index for index, _ in packed),
+                evaluate_sim_pack([task for _, task in packed],
+                                  self.sim_retries)))
+        for index, task in pending:
+            value = solved.pop(index, None)
+            if value is None:
+                value = evaluate_with_retry(task, self.sim_retries)
+            values[index] = self._absorb(task, index, value)
 
     def _run_chunked(self, pending: list[tuple[int, CellTask]],
                      values: dict[int, dict[str, Any]]) -> str:

@@ -9,10 +9,12 @@ transports results over a shared-memory NumPy store.  See
 
 from repro.sweepq.chunks import (
     DEFAULT_CHUNK_SIZE,
+    PACK_LANE_CAP,
     Chunk,
     auto_chunk_size,
     chunk_key,
     chunk_tasks,
+    packed_chunk_size,
 )
 from repro.sweepq.journal import (
     ChunkRecord,
@@ -27,6 +29,7 @@ from repro.sweepq.worker import drain_in_process, solve_chunk, worker_main
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
+    "PACK_LANE_CAP",
     "Chunk",
     "ChunkRecord",
     "JobRecord",
@@ -38,6 +41,7 @@ __all__ = [
     "UnknownJobError",
     "auto_chunk_size",
     "chunk_key",
+    "packed_chunk_size",
     "chunk_tasks",
     "drain_in_process",
     "solve_chunk",

@@ -20,6 +20,7 @@ table it started with.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -33,6 +34,12 @@ DEFAULT_CHUNK_SIZE = 256
 #: so a lost lease forfeits little even at full batch width, and the
 #: per-call fixed cost of the batch solver rewards the widest chunks.
 MVA_CHUNK_CAP = 1024
+
+#: Lane cap for chunks holding vector-DES cells: at most this many
+#: lockstep lanes (cells x replications) per chunk.  A DES tick costs
+#: about the same at 96 lanes as at 16, so wide packs are nearly free;
+#: the cap bounds the pack's memory and the work a lost lease forfeits.
+PACK_LANE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -86,3 +93,28 @@ def auto_chunk_size(n_cells: int, workers: int,
         return 1
     per_worker = -(-n_cells // (max(workers, 1) * 4))  # ceil division
     return max(1, min(cap, per_worker))
+
+
+def packed_chunk_size(lanes: Sequence[int], workers: int) -> int:
+    """A chunk size giving each worker one chunk, for sweeps with
+    vector-DES cells.
+
+    ``lanes[i]`` is the lockstep lanes cell ``i`` occupies (its
+    replication count, 0 for an MVA or scalar-DES cell).  Each worker's
+    chunk is then one wide pack (:func:`repro.service.executor
+    .evaluate_sim_pack`) instead of ~4 narrow ones.  The size shrinks
+    until no chunk holds more than :data:`PACK_LANE_CAP` lanes, and
+    never exceeds :data:`DEFAULT_CHUNK_SIZE` cells.
+    """
+    n_cells = len(lanes)
+    if n_cells < 1:
+        return 1
+    size = min(DEFAULT_CHUNK_SIZE, -(-n_cells // max(workers, 1)))
+    prefix = [0, *itertools.accumulate(lanes)]
+    while size > 1:
+        widest = max(prefix[min(start + size, n_cells)] - prefix[start]
+                     for start in range(0, n_cells, size))
+        if widest <= PACK_LANE_CAP:
+            break
+        size -= 1
+    return size

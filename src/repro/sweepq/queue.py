@@ -40,7 +40,7 @@ import tempfile
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Any
@@ -52,6 +52,7 @@ from repro.sweepq.chunks import (
     MVA_CHUNK_CAP,
     auto_chunk_size,
     chunk_tasks,
+    packed_chunk_size,
 )
 from repro.sweepq.journal import (
     DONE,
@@ -180,8 +181,12 @@ class SweepQueue:
         (``repro sweep``, :class:`~repro.service.executor.SweepExecutor`
         and ``POST /v1/sweep``).  An explicit ``chunk_size`` (here or
         on the queue) wins; otherwise
-        :func:`~repro.sweepq.chunks.auto_chunk_size` gives each of
-        ``workers`` ~4 chunks, capped at
+        :func:`~repro.sweepq.chunks.packed_chunk_size` gives a sweep
+        with vector-DES cells one chunk per worker (each chunk one
+        lockstep pack of at most
+        :data:`~repro.sweepq.chunks.PACK_LANE_CAP` lanes); any other
+        sweep gets :func:`~repro.sweepq.chunks.auto_chunk_size`'s ~4
+        chunks per worker, capped at
         :data:`~repro.sweepq.chunks.MVA_CHUNK_CAP` for MVA-only tasks
         and :data:`~repro.sweepq.chunks.DEFAULT_CHUNK_SIZE` otherwise."""
         if not tasks:
@@ -189,10 +194,14 @@ class SweepQueue:
         job_id = job_id or uuid.uuid4().hex[:12]
         size = chunk_size or self.chunk_size
         if not size:
-            mva_only = all(task.method == "mva" for task in tasks)
-            size = auto_chunk_size(
-                len(tasks), workers,
-                cap=MVA_CHUNK_CAP if mva_only else DEFAULT_CHUNK_SIZE)
+            lanes = [task.sim_lanes for task in tasks]
+            if any(lanes):
+                size = packed_chunk_size(lanes, workers)
+            else:
+                mva_only = all(task.method == "mva" for task in tasks)
+                size = auto_chunk_size(
+                    len(tasks), workers,
+                    cap=MVA_CHUNK_CAP if mva_only else DEFAULT_CHUNK_SIZE)
         chunks = chunk_tasks(tasks, size)
         self.journal.create_job(job_id, pickle.dumps(tasks), chunks,
                                 chunk_size=size, spec=spec_doc)

@@ -124,6 +124,8 @@ class ResultStore:
         if value.get("sim_engine") not in (None, "scalar"):
             extras["sim_engine"] = value["sim_engine"]
             extras["sim_reps"] = value.get("sim_reps", 1)
+        if value.get("sim_pack_cells") is not None:
+            extras["sim_pack_cells"] = value["sim_pack_cells"]
         return extras or None
 
     # -- decoding --------------------------------------------------------
@@ -177,6 +179,8 @@ class ResultStore:
             if "sim_engine" in extras:
                 value["sim_engine"] = extras["sim_engine"]
                 value["sim_reps"] = extras.get("sim_reps", 1)
+            if "sim_pack_cells" in extras:
+                value["sim_pack_cells"] = extras["sim_pack_cells"]
             return value
         return {
             "cell": cell,

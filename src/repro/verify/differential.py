@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.model import CacheMVAModel
-from repro.service.executor import CellTask, SweepExecutor
+from repro.service.executor import CellTask, SweepExecutor, sim_config
 from repro.sim.config import SimulationConfig
-from repro.sim.system import simulate
+from repro.sim.system import SimulationResult, simulate
 from repro.sim.vector import simulate_many
 from repro.verify.invariants import Audit, audit_sim_result
 from repro.verify.violations import Severity
@@ -103,7 +103,8 @@ def diff_scalar_batch(tasks: Sequence[CellTask],
 
 def diff_mva_des(task: CellTask,
                  speedup_band: float | None = None,
-                 ubus_band: float | None = None) -> Audit:
+                 ubus_band: float | None = None,
+                 result: SimulationResult | None = None) -> Audit:
     """One MVA-vs-DES parity cell (the Tables 4.2/4.3 experiment).
 
     Solves the cell analytically (scalar engine, recovery enabled) and
@@ -111,7 +112,9 @@ def diff_mva_des(task: CellTask,
     protocol and architecture, then checks the relative speedup error
     against the declared band.  The DES is the arbiter of record: the
     violation reports the MVA value as observed and the simulated value
-    as expected.
+    as expected.  ``result`` is the cell's already-simulated (aggregate)
+    result, e.g. one cell of a lockstep pack
+    (:func:`repro.sim.vector.simulate_pack`); ``None`` simulates here.
     """
     speedup_band = (TOLERANCES["mva-vs-des-speedup"]
                     if speedup_band is None else speedup_band)
@@ -124,14 +127,13 @@ def diff_mva_des(task: CellTask,
     model = CacheMVAModel(task.workload, task.protocol, arch=task.arch,
                           solver=task.solver)
     report = model.solve(task.n, recovery=True)
-    config = SimulationConfig(
-        n_processors=task.n, workload=task.workload,
-        protocol=task.protocol, arch=task.arch, seed=task.sim_seed,
-        measured_requests=task.sim_requests)
-    # ``sim_engine="vector"`` folds ``sim_reps`` lockstep replications
-    # into one aggregate whose CI is the across-seed band -- the
-    # multi-seed form of this experiment at the same total sample size.
-    result = simulate(config, engine=task.sim_engine, reps=task.sim_reps)
+    if result is None:
+        # ``sim_engine="vector"`` folds ``sim_reps`` lockstep
+        # replications into one aggregate whose CI is the across-seed
+        # band -- the multi-seed form of this experiment at the same
+        # total sample size.
+        result = simulate(sim_config(task), engine=task.sim_engine,
+                          reps=task.sim_reps)
 
     # While the DES output is in hand, hold it to the sim-stats laws
     # too (ranges, the speedup identity, the contention-free floor).

@@ -10,16 +10,32 @@ engine plugs into.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from repro.protocols.modifications import ProtocolSpec
-from repro.service.executor import CellTask, evaluate_task
+from repro.service import executor as executor_module
+from repro.service.executor import (
+    CellTask,
+    SweepExecutor,
+    evaluate_sim_pack,
+    evaluate_task,
+    evaluate_with_retry,
+)
 from repro.service.keys import task_key
+from repro.sim import vector as vector_module
 from repro.sim.config import BusDiscipline, SimulationConfig
 from repro.sim.system import SimulationResult, simulate
-from repro.sim.vector import VectorSnoopingBusSimulator, simulate_many
+from repro.sim.vector import (
+    VectorSnoopingBusSimulator,
+    simulate_many,
+    simulate_pack,
+)
 from repro.verify.invariants import audit_sim_result
+from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 
 def _config(workload, n=4, mods=(), seed=77, warmup=500, measured=2_000,
@@ -28,6 +44,195 @@ def _config(workload, n=4, mods=(), seed=77, warmup=500, measured=2_000,
         n_processors=n, workload=workload, protocol=ProtocolSpec.of(*mods),
         seed=seed, warmup_requests=warmup, measured_requests=measured,
         **kwargs)
+
+
+def _result_bytes(result) -> bytes:
+    """The full result record, canonically serialized (as in
+    ``tests/test_determinism.py``)."""
+    return json.dumps(dataclasses.asdict(result), sort_keys=True).encode()
+
+
+def _rows_bytes(vector) -> list[bytes]:
+    """Every replication row plus the aggregate of one cell's result."""
+    return ([_result_bytes(vector.replication(r))
+             for r in range(vector.n_replications)]
+            + [_result_bytes(vector.aggregate())])
+
+
+def _mixed_pack(warmup=200):
+    """Write-Once and WO+1+2+3+4 at N in {2, 4, 16} over two sharing
+    levels, with unequal replication counts per cell."""
+    cells = []
+    for level in (SharingLevel.FIVE_PERCENT, SharingLevel.TWENTY_PERCENT):
+        workload = appendix_a_workload(level)
+        for mods in ((), (1, 2, 3, 4)):
+            for n in (2, 4, 16):
+                config = _config(workload, n=n, mods=mods,
+                                 seed=1000 + 37 * n + len(mods),
+                                 warmup=warmup, measured=800)
+                cells.append((config, 1 + (n + len(mods)) % 4))
+    return cells
+
+
+class TestLanePacking:
+    """A cell's rows must not depend on what else shares its pack."""
+
+    # With no warm-up the initial bursts stay in the measured busy time.
+    @pytest.mark.parametrize("warmup", [200, 0])
+    def test_packed_cells_match_running_alone(self, warmup):
+        cells = _mixed_pack(warmup)
+        packed = VectorSnoopingBusSimulator.pack(
+            [config for config, _ in cells],
+            [reps for _, reps in cells]).run()
+        assert len(packed) == len(cells)
+        for (config, reps), result in zip(cells, packed):
+            alone = simulate_many(config, reps=reps)
+            assert _rows_bytes(result) == _rows_bytes(alone), (
+                config.protocol.label, config.n_processors)
+
+    def test_permuting_one_cells_seeds_permutes_only_its_rows(
+            self, workload_5pct):
+        configs = [_config(workload_5pct, n=2), _config(workload_5pct, n=16),
+                   _config(workload_5pct, n=4, mods=(1, 2, 3, 4))]
+        seeds = [(11, 12, 13), (21, 22), (31, 32, 33)]
+        permuted = [seeds[0], seeds[1], (33, 31, 32)]
+        a = simulate_pack(configs, [3, 2, 3], seeds)
+        b = simulate_pack(configs, [3, 2, 3], permuted)
+        for cell in (0, 1):
+            assert _rows_bytes(a[cell]) == _rows_bytes(b[cell])
+        order = [seeds[2].index(s) for s in permuted[2]]
+        for r, source in enumerate(order):
+            assert (_result_bytes(b[2].replication(r))
+                    == _result_bytes(a[2].replication(source)))
+
+    def test_pack_reports_lane_count_and_shared_config(self, workload_5pct):
+        configs = [_config(workload_5pct, n=2), _config(workload_5pct, n=8)]
+        simulator = VectorSnoopingBusSimulator.pack(configs, [3, 5])
+        assert simulator.reps == 8
+        assert simulator.config is configs[0]
+        assert [cell.reps for cell in simulator.cells] == [3, 5]
+        assert simulator.seeds == (77, 78, 79, 77, 78, 79, 80, 81)
+
+    def test_pack_rejects_differing_windows(self, workload_5pct):
+        configs = [_config(workload_5pct),
+                   _config(workload_5pct, measured=1_000)]
+        with pytest.raises(ValueError, match="share warm-up"):
+            VectorSnoopingBusSimulator.pack(configs, [2, 2])
+
+    def test_simulate_pack_splits_by_pack_key(self, workload_5pct):
+        configs = [_config(workload_5pct, n=2, measured=600),
+                   _config(workload_5pct, n=4, measured=900),
+                   _config(workload_5pct, n=16, measured=600)]
+        results = simulate_pack(configs, [2, 3, 2])
+        for config, reps, result in zip(configs, [2, 3, 2], results):
+            assert (_rows_bytes(result)
+                    == _rows_bytes(simulate_many(config, reps=reps)))
+
+    def test_single_processor_lanes(self, workload_5pct):
+        """N=1 (no snooping, no supplier) runs alone and packed."""
+        one = _config(workload_5pct, n=1, warmup=100, measured=500)
+        alone = simulate_many(one, reps=3)
+        assert np.all(alone.speedup > 0.0) and np.all(alone.speedup <= 1.0)
+        packed = simulate_pack(
+            [one, _config(workload_5pct, n=4, warmup=100, measured=500)],
+            [3, 2])
+        assert _rows_bytes(packed[0]) == _rows_bytes(alone)
+
+
+class TestSimPackHelper:
+    """``evaluate_sim_pack``: the executor's packed path for vector-DES
+    cells, row-for-row the per-cell path."""
+
+    @staticmethod
+    def _tasks():
+        workload = appendix_a_workload(SharingLevel.FIVE_PERCENT)
+        return [CellTask(protocol=ProtocolSpec.of(*mods),
+                         sharing_label="5%", workload=workload, n=n,
+                         method="sim", sim_requests=400, sim_seed=50 + n,
+                         sim_engine="vector", sim_reps=reps)
+                for mods, n, reps in (((), 2, 2), ((1, 2, 3, 4), 16, 3),
+                                      ((1,), 4, 1))]
+
+    @staticmethod
+    def _strip(value):
+        return {k: v for k, v in value.items()
+                if k not in ("elapsed_s", "sim_pack_cells")}
+
+    def test_matches_per_cell_path(self):
+        tasks = self._tasks()
+        packed = evaluate_sim_pack(tasks, sim_retries=2)
+        for task, value in zip(tasks, packed):
+            assert value["sim_pack_cells"] == len(tasks)
+            assert value["attempts"] == 1
+            assert value["effective_seed"] == task.sim_seed
+            assert (self._strip(value)
+                    == self._strip(evaluate_with_retry(task, 2)))
+
+    @staticmethod
+    def _break_packs(monkeypatch):
+        """Make every run of more than one cell raise; the per-cell
+        path runs a pack of one through the same class and survives."""
+        original = vector_module.VectorSnoopingBusSimulator.run
+
+        def run(self):
+            if len(self.cells) > 1:
+                raise RuntimeError("pack died")
+            return original(self)
+
+        monkeypatch.setattr(vector_module.VectorSnoopingBusSimulator,
+                            "run", run)
+
+    def test_packed_run_failure_falls_back_per_cell(self, monkeypatch):
+        tasks = self._tasks()
+        expected = [self._strip(evaluate_with_retry(task, 2))
+                    for task in tasks]
+        self._break_packs(monkeypatch)
+        values = evaluate_sim_pack(tasks, sim_retries=2)
+        assert [self._strip(v) for v in values] == expected
+        assert all("sim_pack_cells" not in v for v in values)
+
+    def test_one_failing_cell_becomes_an_error_row(self, monkeypatch):
+        tasks = self._tasks()
+        bad = tasks[1]
+        original = executor_module.evaluate_task
+
+        def flaky(task):
+            if task.n == bad.n:
+                raise RuntimeError("cell died")
+            return original(task)
+
+        monkeypatch.setattr(executor_module, "evaluate_task", flaky)
+        self._break_packs(monkeypatch)
+        values = evaluate_sim_pack(tasks, sim_retries=1)
+        assert values[1]["error"]["type"] == "RuntimeError"
+        assert values[1]["attempts"] == 2
+        monkeypatch.undo()
+        for index in (0, 2):
+            assert (self._strip(values[index])
+                    == self._strip(evaluate_with_retry(tasks[index], 1)))
+
+    def test_packs_respect_the_lane_cap(self, monkeypatch):
+        from repro.sweepq import chunks
+
+        monkeypatch.setattr(chunks, "PACK_LANE_CAP", 4)
+        tasks = self._tasks()  # 2, 3 and 1 lanes
+        values = evaluate_sim_pack(tasks, sim_retries=2)
+        assert [v["sim_pack_cells"] for v in values] == [1, 2, 2]
+        assert ([self._strip(v) for v in values]
+                == [self._strip(evaluate_with_retry(t, 2)) for t in tasks])
+
+    def test_serial_executor_packs_its_des_cells(self):
+        tasks = self._tasks()
+        result = SweepExecutor(jobs=1).run(tasks)
+        assert [meta["sim_pack_cells"] for meta in result.meta] == [3] * 3
+        assert ([cell.as_row() for cell in result.cells]
+                == [evaluate_with_retry(task, 2)["cell"] for task in tasks])
+
+    def test_rejects_non_vector_cells(self):
+        task = dataclasses.replace(self._tasks()[0], sim_engine="scalar",
+                                   sim_reps=1)
+        with pytest.raises(ValueError, match="vector-DES"):
+            evaluate_sim_pack([task], sim_retries=0)
 
 
 class TestSingleReplication:

@@ -21,7 +21,12 @@ from repro.service.executor import (
     tasks_for_spec,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.sweepq import ResultStore, SweepJournal, SweepQueue
+from repro.sweepq import (
+    PACK_LANE_CAP,
+    ResultStore,
+    SweepJournal,
+    SweepQueue,
+)
 from repro.sweepq import queue as queue_module
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
@@ -287,10 +292,12 @@ class TestValidation:
 
 @dataclass(frozen=True)
 class _StubTask:
-    """All ``submit`` reads of a task: its cache key and method."""
+    """All ``submit`` reads of a task: its cache key, method and
+    vector-DES lane count."""
 
     key: str
     method: str = "mva"
+    sim_lanes: int = 0
 
 
 def _stubs(n_cells, sim_at=None):
@@ -331,6 +338,77 @@ class TestChunkPolicy:
                                 queue_chunk_size=5) == 5
         assert self._chunk_size(tmp_path / "c", tasks, chunk_size=7,
                                 queue_chunk_size=5) == 7
+
+
+def _vector_spec(sizes, sim_reps, protocols=None):
+    return GridSpec(protocols=protocols or [ProtocolSpec(),
+                                            ProtocolSpec.of(1, 2, 3, 4)],
+                    sizes=sizes, include_simulation=True,
+                    sim_requests=300, sim_engine="vector",
+                    sim_reps=sim_reps)
+
+
+class TestPackedChunkPolicy:
+    """Sweeps with vector-DES cells get one chunk per worker -- each
+    chunk one lockstep pack -- and never more than
+    ``PACK_LANE_CAP`` lanes (cells x replications) per chunk."""
+
+    @staticmethod
+    def _chunks(tmp_path, tasks, workers):
+        queue = SweepQueue(state_dir=tmp_path / "q")
+        try:
+            job_id = queue.submit(tasks, workers=workers)
+            return [(chunk.start, chunk.stop)
+                    for chunk in queue.journal.chunk_rows(job_id)]
+        finally:
+            queue.close()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_one_chunk_per_worker(self, tmp_path, workers):
+        """The perfbench ``sweep-des`` shape: 12 DES + 12 MVA cells."""
+        tasks = tasks_for_spec(_vector_spec([4, 16], 16))
+        chunks = self._chunks(tmp_path, tasks, workers)
+        assert len(chunks) == workers
+        assert chunks[-1][1] == len(tasks)
+
+    @pytest.mark.parametrize("workers, sim_reps", [(1, 100), (2, 64),
+                                                    (4, 512), (2, 600)])
+    def test_lane_cap(self, tmp_path, workers, sim_reps):
+        tasks = tasks_for_spec(_vector_spec([2, 4, 8, 16], sim_reps,
+                                            protocols=all_combinations()))
+        chunks = self._chunks(tmp_path, tasks, workers)
+        lanes = [sum(task.sim_lanes for task in tasks[start:stop])
+                 for start, stop in chunks]
+        # A single cell wider than the cap still gets a chunk of its own.
+        assert all(width <= max(PACK_LANE_CAP, sim_reps) for width in lanes)
+        assert len(chunks) >= workers
+
+    def test_scalar_des_keeps_four_chunks_per_worker(self, tmp_path):
+        tasks = tasks_for_spec(_MIXED)
+        assert len(self._chunks(tmp_path, tasks, 2)) == 6
+
+    def test_packed_chunks_match_cells_alone(self, tmp_path):
+        """Default chunking (one pack per chunk) and ``chunk_size=1``
+        (every DES cell alone) produce identical values."""
+        tasks = tasks_for_spec(_vector_spec([2, 4], 2))
+        outcomes = []
+        for name, chunk_size in (("a", None), ("b", 1)):
+            queue = SweepQueue(state_dir=tmp_path / name,
+                               chunk_size=chunk_size)
+            try:
+                outcomes.append(queue.run_tasks(tasks, workers=1))
+            finally:
+                queue.close()
+        packed, alone = outcomes
+        assert packed.counters["chunks"] == 1
+        assert _rows_from(tasks, packed) == _rows_from(tasks, alone)
+        des_cells = sum(1 for task in tasks if task.sim_lanes)
+        for task, value in zip(tasks, packed.values):
+            if task.sim_lanes:
+                assert value["sim_pack_cells"] == des_cells
+                assert value["effective_seed"] == task.sim_seed
+        assert {value.get("sim_pack_cells") for task, value
+                in zip(tasks, alone.values) if task.sim_lanes} == {1}
 
 
 #: 12 cells: six MVA rows, each with its simulation row.
