@@ -9,10 +9,11 @@ for the whole grid, so the sweep cost amortizes across cells.
 
 Two claims are checked here:
 
-1. **Parity** -- ``engine="batch"`` reproduces the scalar Table 4.1
-   grid cell-for-cell (``GridCell.as_row()`` equality, which is
-   stricter than the solver tolerance: the batch engine is written to
-   be bit-identical).
+1. **Parity** -- ``run_grid`` (one batch solve: the executor picks the
+   batch engine for any multi-cell sweep) reproduces the per-cell
+   scalar Table 4.1 grid cell-for-cell (``GridCell.as_row()``
+   equality, which is stricter than the solver tolerance: the batch
+   engine is written to be bit-identical).
 2. **Speedup** -- on the 16-combination stress grid the batched engine
    is >= 5x faster than the scalar per-cell loop at the engine tier
    (derive inputs -> solve -> assemble rows: what the service does for
@@ -46,7 +47,8 @@ from repro.analysis.stress import stress_tasks
 from repro.core.batch import solve_batch
 from repro.core.model import TABLE_41_SIZES, CacheMVAModel
 from repro.service.executor import (SweepExecutor, evaluate_mva_batch,
-                                    evaluate_task)
+                                    evaluate_task, tasks_for_spec)
+from repro.verify import scalar_sweep
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -95,12 +97,13 @@ def test_table41_grid_parity_and_speedup(benchmark, emit, output_dir):
     spec = GridSpec(protocols=[TABLE_41_PROTOCOLS[part]
                                for part in ("a", "b", "c")],
                     sizes=list(TABLE_41_SIZES))
+    tasks = tasks_for_spec(spec)
 
     def run_both():
-        scalar_s = _best(lambda: run_grid(spec))
-        batch_s = _best(lambda: run_grid(spec, engine="batch"))
-        scalar_rows = [c.as_row() for c in run_grid(spec)]
-        batch_rows = [c.as_row() for c in run_grid(spec, engine="batch")]
+        scalar_s = _best(lambda: scalar_sweep(tasks))
+        batch_s = _best(lambda: run_grid(spec))
+        scalar_rows = [c.as_row() for c in scalar_sweep(tasks).cells]
+        batch_rows = [c.as_row() for c in run_grid(spec)]
         return scalar_s, batch_s, scalar_rows, batch_rows
 
     scalar_s, batch_s, scalar_rows, batch_rows = once(benchmark, run_both)
@@ -129,9 +132,11 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
     * ``evaluate`` -- the engine tier (derive inputs, solve, assemble
       row dicts), the per-cell work a sweep actually performs and the
       tier the >= 5x acceptance floor applies to;
-    * ``executor`` -- end-to-end ``SweepExecutor.run`` including the
-      engine-independent bookkeeping (cache probes, metrics, GridCell
-      materialization) that dilutes the ratio.
+    * ``executor`` -- end-to-end: the per-cell scalar reference
+      (:func:`repro.verify.scalar_sweep`) against ``SweepExecutor.run``,
+      both including the engine-independent bookkeeping (GridCell
+      materialization; cache probes and metrics on the executor side)
+      that dilutes the ratio.
     """
     tasks = stress_tasks(sizes=STRESS_SIZES)
     systems = [CacheMVAModel(t.workload, t.protocol, arch=t.arch).system(t.n)
@@ -156,9 +161,8 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
                                                     traces=False)))
         tiers["evaluate"] = (_best(scalar_evaluate),
                              _best(lambda: evaluate_mva_batch(tasks)))
-        tiers["executor"] = (
-            _best(lambda: SweepExecutor(engine="scalar").run(tasks)),
-            _best(lambda: SweepExecutor(engine="batch").run(tasks)))
+        tiers["executor"] = (_best(lambda: scalar_sweep(tasks)),
+                             _best(lambda: SweepExecutor().run(tasks)))
         return tiers
 
     tiers = once(benchmark, run_tiers)

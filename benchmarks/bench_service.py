@@ -6,15 +6,16 @@ measures the two service-layer multipliers on top of it:
 
 1. a multi-protocol sweep with simulation cells fans out over the
    sharded sweep queue, cutting wall-clock below the serial run;
-2. an MVA stress sweep through the queue's chunked dispatch beats the
-   serial scalar path >= 2x even on one core (chunk amortization: one
-   batch solve and one journal round-trip per lease, where the old
-   per-cell process pool recorded 0.96x -- pure pickling overhead);
+2. an MVA stress sweep through the executor at jobs=4 beats the
+   per-cell scalar path >= 2x even on one core (its MVA cells are one
+   in-process batch solve; the old per-cell process pool recorded
+   0.96x here -- pure pickling overhead);
 3. a repeated sweep with the content-addressed cache enabled re-solves
    zero cells (100 % hit rate);
 4. a cold sweep through a disk-backed cache costs little more than an
    uncached one: the SQLite store writes changed rows per flush, not
-   the whole file (ratio floors 1.5x scalar, 3x batch).
+   the whole file (ratio floors 1.5x for the per-cell scalar path,
+   which commits once per cell, and 3x for a batch sweep).
 
 Numbers land in ``output/service.txt`` (human-readable) and
 ``benchmarks/BENCH_service.json`` (the committed machine-readable
@@ -37,6 +38,7 @@ from repro.analysis.grid import GridSpec
 from repro.analysis.stress import stress_tasks
 from repro.protocols.modifications import ProtocolSpec
 from repro.service import MetricsRegistry, ResultCache, SweepExecutor
+from repro.verify import scalar_sweep
 from repro.workload.parameters import SharingLevel
 
 #: Quick mode (the CI smoke job) shrinks the simulation cells so the
@@ -100,27 +102,28 @@ def test_parallel_sweep_beats_serial(benchmark, emit):
     # Wall-clock can only drop when the machine has cores to fan out
     # to -- and enough per-cell work to hide start-up overhead, which
     # the shrunken quick-mode cells do not have.
-    if not QUICK and mode in ("process-pool", "chunked") and cores > 1:
+    fanned_out = mode.split("+")[-1] in ("process-pool", "chunked")
+    if not QUICK and fanned_out and cores > 1:
         assert parallel_s < serial_s, (
             f"4-worker sweep ({parallel_s:.2f}s) not faster than serial "
             f"({serial_s:.2f}s)")
 
 
 def test_chunked_stress_sweep_beats_serial(benchmark, emit):
-    """The sweep-queue satellite claim: chunked dispatch >= 2x over
-    serial on the MVA stress grid at jobs=4, replacing the 0.96x the
-    old per-cell process pool recorded here.  The gain is chunk
-    amortization (one vectorized batch solve and one journal
-    round-trip per lease), so it holds even on one core; see
-    ``bench_sweepq.py`` (E15) for the three-way dispatch comparison.
+    """The executor at jobs=4 >= 2x over the per-cell scalar path on
+    the MVA stress grid, replacing the 0.96x the old per-cell process
+    pool recorded here.  The executor solves MVA cells as one
+    in-process batch whatever ``jobs`` is, so the gain holds on one
+    core; see ``bench_sweepq.py`` (E15) for the queue's own chunked
+    drain against the same baseline.
     """
     tasks = stress_tasks(sizes=(4, 16, 64) if QUICK
                          else tuple(range(4, 260, 8)))
-    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports / first-fork cost
+    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports
 
     def run_both():
         reps = 1 if QUICK else 3
-        serial_s = min(_timed(lambda: SweepExecutor(jobs=1).run(tasks))
+        serial_s = min(_timed(lambda: scalar_sweep(tasks))
                        for _ in range(reps))
         chunked_best = None
         chunked_s = float("inf")
@@ -129,7 +132,7 @@ def test_chunked_stress_sweep_beats_serial(benchmark, emit):
                 lambda: SweepExecutor(jobs=4).run(tasks))
             if elapsed < chunked_s:
                 chunked_s, chunked_best = elapsed, result
-        serial = SweepExecutor(jobs=1).run(tasks)
+        serial = scalar_sweep(tasks)
         rows_equal = ([c.as_row() for c in serial.cells]
                       == [c.as_row() for c in chunked_best.cells])
         return serial_s, chunked_s, chunked_best.summary.mode, rows_equal
@@ -139,8 +142,8 @@ def test_chunked_stress_sweep_beats_serial(benchmark, emit):
     emit("service.txt",
          f"E13 chunked stress sweep ({len(tasks)} MVA cells, "
          f"{os.cpu_count() or 1} cores):\n"
-         f"  serial         : {serial_s:7.3f} s\n"
-         f"  chunked jobs=4 : {chunked_s:7.3f} s ({mode}, "
+         f"  per-cell scalar: {serial_s:7.3f} s\n"
+         f"  executor jobs=4: {chunked_s:7.3f} s ({mode}, "
          f"{speedup:.2f}x)\n")
     _write_json({"chunked_stress": {
         "cells": len(tasks), "serial_s": serial_s, "chunked_s": chunked_s,
@@ -227,11 +230,25 @@ def test_mva_grid_latency_through_service(benchmark, emit):
 
 
 #: Disk-cache leg: (engine, stress sizes, ratio floor).  The scalar
-#: path flushes once per cell, the batch path once per sweep.
+#: path (one single-cell sweep per cell) commits once per cell, a batch
+#: sweep once per sweep.
 _DISK_LEGS = (
     ("scalar", tuple(range(4, 260, 8)), 1.5),   # 2048 cells
     ("batch", tuple(range(4, 260, 16)), 3.0),   # 1024 cells
 )
+
+
+def _sweep(engine, tasks, cache=None):
+    """Run ``tasks`` on one engine; returns the cells in task order.
+
+    ``batch`` is one executor sweep (two or more MVA cells: one batch
+    solve).  ``scalar`` is one single-cell sweep per cell -- the
+    executor's scalar path, a per-cell solve and, with a cache, a
+    per-cell commit."""
+    executor = SweepExecutor(cache=cache)
+    if engine == "batch":
+        return executor.run(tasks).cells
+    return [executor.run([task]).cells[0] for task in tasks]
 
 
 def test_disk_cache_overhead(benchmark, emit, tmp_path):
@@ -246,22 +263,20 @@ def test_disk_cache_overhead(benchmark, emit, tmp_path):
         legs = {}
         for engine, sizes, floor in _DISK_LEGS:
             tasks = stress_tasks(sizes=sizes[:3] if QUICK else sizes)
-            SweepExecutor(engine=engine).run(tasks[:8])  # warm-up
+            _sweep(engine, tasks[:8])  # warm-up
             ratios, plain_s, disk_s = [], [], []
             for rep in range(pairs):
                 elapsed, plain = _timed_result(
-                    lambda: SweepExecutor(engine=engine).run(tasks))
+                    lambda: _sweep(engine, tasks))
                 plain_s.append(elapsed)
                 path = tmp_path / f"{engine}-{rep}.db"
                 elapsed, disk = _timed_result(
-                    lambda: SweepExecutor(
-                        engine=engine,
-                        cache=ResultCache(path=path)).run(tasks))
+                    lambda: _sweep(engine, tasks,
+                                   ResultCache(path=path)))
                 disk_s.append(elapsed)
                 ratios.append(disk_s[-1] / plain_s[-1])
-            warm = SweepExecutor(engine=engine,
-                                 cache=ResultCache(path=path)).run(tasks)
-            rows = [c.as_row() for c in plain.cells]
+            warm = SweepExecutor(cache=ResultCache(path=path)).run(tasks)
+            rows = [c.as_row() for c in plain]
             legs[engine] = {
                 "cells": len(tasks), "pairs": pairs,
                 "uncached_s_median": statistics.median(plain_s),
@@ -269,7 +284,7 @@ def test_disk_cache_overhead(benchmark, emit, tmp_path):
                 "ratio_median": statistics.median(ratios),
                 "ratio_min": min(ratios), "ratio_max": max(ratios),
                 "ratio_floor": None if QUICK else floor,
-                "rows_identical": (rows == [c.as_row() for c in disk.cells]
+                "rows_identical": (rows == [c.as_row() for c in disk]
                                    == [c.as_row() for c in warm.cells]),
                 "warm_resolved": warm.summary.solved,
             }

@@ -1,27 +1,28 @@
-"""E15: the sharded sweep queue -- chunked dispatch vs serial vs pool.
+"""E15: the sharded sweep queue -- chunked dispatch vs the scalar loop.
 
 The sweep queue (``repro.sweepq``) replaced the per-cell process pool
 with chunk leases: one IPC round-trip and one vectorized
 :func:`repro.core.batch.solve_batch` call per chunk instead of one
 pickled task per cell.  This bench records the wall-clock of the same
-MVA stress grid through four dispatch paths:
+MVA stress grid through three paths:
 
-* **serial**   -- ``SweepExecutor(jobs=1)``, the scalar reference;
+* **serial**   -- :func:`repro.verify.scalar_sweep`, the per-cell
+  scalar reference (one ``evaluate_task`` call per cell);
 * **chunked**  -- ``SweepQueue().run_tasks(tasks, workers=1)``: the
   queue drained in-process with its default one-worker chunk size
   (4 chunks of 512 cells), i.e. chunk amortization alone;
-* **executor** -- ``SweepExecutor(jobs=4)``, the queue-backed default.
-  It caps workers at the core count, so on one core it is the same
-  in-process drain, and on more cores it forks workers;
-* **pool**     -- ``SweepExecutor(jobs=4, dispatch="cells")``, the old
-  per-cell process pool E13 used to measure (0.96x on one core).
+* **executor** -- ``SweepExecutor(jobs=4)``.  It solves MVA cells as
+  one in-process batch whatever ``jobs`` is (only simulation cells
+  fan out), so this is the batch engine with no queue at all.
+
+The per-cell process pool (``dispatch="cells"``) no longer sees MVA
+cells, so it has no leg here; it measured 0.37-0.58x of serial on this
+grid (``BENCH_sweepq.json`` schema 2).
 
 Asserted: chunked >= 2x over serial, and rows byte-identical across
-all four paths.  The floor times the in-process drain because that is
-what it was first recorded on (a one-core host, where the executor
-drains in-process); the forked executor's figure is reported beside it
-with ``cores``, since process fan-out over a sub-second grid depends on
-the host.  Numbers land in ``output/sweepq.txt`` (human-readable) and
+all three paths.  The floor times the in-process drain because that is
+what it was first recorded on (a one-core host).  Numbers land in
+``output/sweepq.txt`` (human-readable) and
 ``benchmarks/BENCH_sweepq.json`` (committed machine-readable
 trajectory; CI regenerates and uploads it as an artifact without
 overwriting the committed baseline).
@@ -44,6 +45,7 @@ from conftest import once  # noqa: E402
 from repro.analysis.stress import stress_tasks
 from repro.service.executor import SweepExecutor, collect_sweep_result
 from repro.sweepq import SweepQueue
+from repro.verify import scalar_sweep
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -80,23 +82,19 @@ def _chunked_inprocess(tasks):
         queue.close()
 
 
-def test_chunked_sweep_vs_serial_vs_pool(benchmark, emit):
+def test_chunked_sweep_vs_serial(benchmark, emit):
     tasks = stress_tasks(sizes=STRESS_SIZES)
-    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports / first-fork cost
+    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports
 
     def run_all():
-        serial_s, serial = _best(lambda: SweepExecutor(jobs=1).run(tasks))
+        serial_s, serial = _best(lambda: scalar_sweep(tasks))
         chunked_s, chunked = _best(lambda: _chunked_inprocess(tasks))
         executor_s, executor = _best(
             lambda: SweepExecutor(jobs=4).run(tasks))
-        pool_s, pool = _best(
-            lambda: SweepExecutor(jobs=4, dispatch="cells").run(tasks),
-            reps=1)  # the known-slow path: one timing is plenty
-        return (serial_s, serial, chunked_s, chunked, executor_s,
-                executor, pool_s, pool)
+        return serial_s, serial, chunked_s, chunked, executor_s, executor
 
-    (serial_s, serial, chunked_s, chunked, executor_s, executor,
-     pool_s, pool) = once(benchmark, run_all)
+    (serial_s, serial, chunked_s, chunked, executor_s,
+     executor) = once(benchmark, run_all)
 
     reference = [cell.as_row() for cell in serial.cells]
     chunked_rows = collect_sweep_result(
@@ -104,24 +102,22 @@ def test_chunked_sweep_vs_serial_vs_pool(benchmark, emit):
         wall_seconds=chunked.wall_seconds, jobs=1, mode=chunked.mode)
     rows_identical = all(
         [c.as_row() for c in result.cells] == reference
-        for result in (chunked_rows, executor, pool))
+        for result in (chunked_rows, executor))
     speedup = serial_s / chunked_s
     cores = os.cpu_count() or 1
 
     emit("sweepq.txt",
          f"E15 sweep-queue dispatch on the stress grid "
          f"({len(tasks)} MVA cells, {cores} cores):\n"
-         f"  serial (jobs=1)          : {serial_s:7.3f} s\n"
+         f"  serial (per-cell scalar) : {serial_s:7.3f} s\n"
          f"  chunked in-process       : {chunked_s:7.3f} s "
          f"({speedup:.2f}x, {chunked.counters['chunks']} chunks)\n"
          f"  executor (jobs=4)        : {executor_s:7.3f} s "
          f"({serial_s / executor_s:.2f}x, "
-         f"mode={executor.summary.mode})\n"
-         f"  per-cell pool (jobs=4)   : {pool_s:7.3f} s "
-         f"({serial_s / pool_s:.2f}x, mode={pool.summary.mode})\n")
+         f"mode={executor.summary.mode})\n")
 
     record = {
-        "schema": 2,
+        "schema": 3,
         "cells": len(tasks),
         "quick": QUICK,
         "cores": cores,
@@ -133,9 +129,6 @@ def test_chunked_sweep_vs_serial_vs_pool(benchmark, emit):
         "executor_s": executor_s,
         "executor_speedup": serial_s / executor_s,
         "executor_mode": executor.summary.mode,
-        "pool_s": pool_s,
-        "pool_speedup": serial_s / pool_s,
-        "pool_mode": pool.summary.mode,
         "rows_identical": rows_identical,
         "speedup_floor": None if QUICK else SPEEDUP_FLOOR,
     }

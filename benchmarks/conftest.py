@@ -29,17 +29,20 @@ def output_dir() -> Path:
 def emit(output_dir):
     """Print a block and append it to a named artifact file."""
 
+    written: set[str] = set()
+
     def _emit(artifact: str, text: str) -> None:
         print("\n" + text)
         path = output_dir / artifact
-        with path.open("a") as fh:
+        # The session's first write truncates, so a rerun replaces the
+        # artifact instead of appending to it; artifacts of benches
+        # that did not run this session are left alone.
+        with path.open("a" if artifact in written else "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+        written.add(artifact)
 
-    # Truncate artifacts at session start so reruns do not accumulate.
-    for stale in OUTPUT_DIR.glob("*.txt") if OUTPUT_DIR.exists() else []:
-        stale.unlink()
     return _emit
 
 

@@ -114,26 +114,21 @@ class GridSpec:
 def run_grid(spec: GridSpec,
              workload_for: Callable[[SharingLevel], WorkloadParameters] = appendix_a_workload,
              executor: "SweepExecutor | None" = None,
-             engine: str = "scalar",
              ) -> list[GridCell]:
     """Solve every grid point; simulation cells follow their MVA cell.
 
     All evaluation goes through :class:`repro.service.SweepExecutor`;
     the default (no ``executor``) is a serial, uncached run whose cells
     are identical -- values and order -- to the historical in-line
-    loop.  Pass an executor configured with ``jobs``/``cache`` to
-    parallelize the sweep or reuse previously solved cells.
-
-    ``engine`` selects the MVA evaluation backend when no explicit
-    executor is passed: ``"scalar"`` (the historical per-cell loop) or
-    ``"batch"`` (one vectorized fixed point for the whole grid; see
-    :mod:`repro.core.batch`).  An explicit ``executor`` carries its own
-    engine setting.
+    loop (its MVA cells are one vectorized batch solve, bit-identical
+    to solving them one by one).  Pass an executor configured with
+    ``jobs``/``cache`` to parallelize the simulation cells or reuse
+    previously solved cells.
     """
     from repro.service.executor import SweepExecutor
 
     if executor is None:
-        executor = SweepExecutor(jobs=1, engine=engine)
+        executor = SweepExecutor(jobs=1)
     return executor.run_spec(spec, workload_for).cells
 
 

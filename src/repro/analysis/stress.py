@@ -193,20 +193,18 @@ def run_stress(sizes: Sequence[int] = DEFAULT_SIZES,
                corners: Sequence[StressCorner] | None = None,
                protocols: Sequence[ProtocolSpec] | None = None,
                solver: FixedPointSolver | None = None,
-               jobs: int = 1, engine: str = "scalar",
-               sim_engine: str | None = None,
+               jobs: int = 1, sim_engine: str | None = None,
                sim_reps: int = 8) -> StressReport:
     """Sweep the stress grid through a failure-isolating executor.
 
-    ``engine`` selects the MVA backend (``"scalar"`` or ``"batch"``);
-    the stress grid is all-MVA, so ``"batch"`` solves the whole sweep
-    as one vectorized fixed point.  ``sim_engine`` (opt-in, default
-    off) appends the bounded DES spot-check of
+    The stress grid's MVA cells are solved as one vectorized fixed
+    point (the executor's batch engine).  ``sim_engine`` (opt-in,
+    default off) appends the bounded DES spot-check of
     :func:`stress_sim_tasks` -- ``"vector"`` runs each spot cell as
     ``sim_reps`` lockstep replications, ``"scalar"`` as one seeded run.
     """
     metrics = MetricsRegistry()
-    executor = SweepExecutor(jobs=jobs, metrics=metrics, engine=engine)
+    executor = SweepExecutor(jobs=jobs, metrics=metrics)
     tasks = stress_tasks(sizes=sizes, corners=corners,
                          protocols=protocols, solver=solver)
     if sim_engine is not None:

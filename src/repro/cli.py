@@ -49,6 +49,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _DeprecatedEngine(argparse.Action):
+    """``--engine`` of grid/stress/serve: accepted, ignored, and
+    announced on stderr (the executor picks the MVA engine)."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str,
+                 **kwargs: object) -> None:
+        super().__init__(option_strings, dest, choices=["scalar", "batch"],
+                         help="deprecated, no effect: the MVA engine is "
+                              "picked per sweep (batch for two or more "
+                              "cells, scalar for one)", **kwargs)
+
+    def __call__(self, parser: argparse.ArgumentParser,
+                 namespace: argparse.Namespace, values: object,
+                 option_string: str | None = None) -> None:
+        setattr(namespace, self.dest, values)
+        print("warning: --engine is deprecated and has no effect; the "
+              "MVA engine is picked per sweep", file=sys.stderr)
+
+
 def _protocol_from_args(args: argparse.Namespace) -> ProtocolSpec:
     if args.protocol:
         name = args.protocol.strip().lower()
@@ -231,7 +250,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     try:
         cache = ResultCache(path=args.cache) if args.cache else None
         executor = SweepExecutor(jobs=args.jobs, cache=cache,
-                                 strict=args.strict, engine=args.engine)
+                                 strict=args.strict)
         result = executor.run_spec(spec)
     except CellFailedError as exc:  # --strict: fail the whole sweep
         print(f"error: {exc}", file=sys.stderr)
@@ -370,8 +389,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     from repro.analysis.stress import run_stress
 
     report = run_stress(sizes=tuple(args.n), jobs=args.jobs,
-                        engine=args.engine, sim_engine=args.sim_engine,
-                        sim_reps=args.sim_reps)
+                        sim_engine=args.sim_engine, sim_reps=args.sim_reps)
     print(report.text())
     if not report.isolated:  # pragma: no cover - invariant violation
         print("error: a cell failure leaked outside its row",
@@ -415,7 +433,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     front = "async" if getattr(args, "async") else "threaded"
     try:
         cache = ResultCache(path=args.cache) if args.cache else ResultCache()
-        common = dict(cache=cache, jobs=args.jobs, engine=args.engine,
+        common = dict(cache=cache, jobs=args.jobs,
                       sweep_state_dir=args.sweep_state_dir)
         if coalesce:
             service = ModelService.with_coalescer(
@@ -426,7 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    settings = (f"jobs={args.jobs}, engine={args.engine}, front={front}, "
+    settings = (f"jobs={args.jobs}, front={front}, "
                 + (f"coalesce={args.coalesce_window_ms}ms/"
                    f"{args.max_batch} cells, " if coalesce
                    else "coalesce=off, ")
@@ -568,11 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort the sweep on the first failed cell "
                              "(default: isolate failures as error rows "
                              "and print a summary to stderr)")
-    p_grid.add_argument("--engine", choices=["scalar", "batch"],
-                        default="scalar",
-                        help="MVA backend: per-cell scalar solves "
-                             "(default) or one vectorized batch for the "
-                             "whole sweep")
+    p_grid.add_argument("--engine", action=_DeprecatedEngine)
     p_grid.add_argument("--sim-engine", choices=["scalar", "vector"],
                         default="scalar",
                         help="DES backend for --simulate rows: scalar "
@@ -641,10 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="system sizes per corner")
     p_stress.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the sweep")
-    p_stress.add_argument("--engine", choices=["scalar", "batch"],
-                          default="scalar",
-                          help="MVA backend: per-cell scalar solves "
-                               "(default) or one vectorized batch")
+    p_stress.add_argument("--engine", action=_DeprecatedEngine)
     p_stress.add_argument("--sim-engine", choices=["scalar", "vector"],
                           default=None,
                           help="opt-in DES spot-check: also simulate "
@@ -696,10 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for grid sweeps")
     p_serve.add_argument("--cache",
                          help="persistent result-cache SQLite file")
-    p_serve.add_argument("--engine", choices=["scalar", "batch"],
-                         default="scalar",
-                         help="default MVA backend for requests that do "
-                              "not set their own 'engine' field")
+    p_serve.add_argument("--engine", action=_DeprecatedEngine)
     p_serve.add_argument("--sweep-state-dir",
                          help="persistent directory for async /v1/sweep "
                               "jobs (journal survives restarts)")

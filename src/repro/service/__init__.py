@@ -11,10 +11,12 @@ solver into infrastructure that can serve that exploration at scale:
 * :mod:`repro.service.metrics`  -- counters and histograms (cache hit
   rate, solve latency, iterations-to-convergence) with a Prometheus
   text exposition;
-* :mod:`repro.service.executor` -- a parallel sweep executor fanning
-  grid cells over the chunked sweep queue (:mod:`repro.sweepq`) or the
-  legacy per-cell process pool, with deterministic ordering, per-cell
-  retry for simulation cells and graceful serial fallback;
+* :mod:`repro.service.executor` -- the sweep executor: it picks the MVA
+  engine (one in-process batch solve for two or more cells, the scalar
+  path for one) and fans simulation cells over the chunked sweep queue
+  (:mod:`repro.sweepq`) or the legacy per-cell process pool, with
+  deterministic ordering, per-cell retry for simulation cells and
+  graceful serial fallback;
 * :mod:`repro.service.schema`   -- the typed request schemas
   (:class:`SolveRequest`, :class:`GridRequest`, :class:`SweepRequest`)
   shared by the versioned and legacy endpoints;
@@ -41,7 +43,6 @@ from repro.service.cache import CacheStats, ResultCache
 from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
     DISPATCH_MODES,
-    ENGINES,
     CellFailedError,
     CellTask,
     ExecutorSummary,
@@ -52,7 +53,12 @@ from repro.service.executor import (
     evaluate_mva_batch,
     tasks_for_spec,
 )
-from repro.service.schema import GridRequest, SolveRequest, SweepRequest
+from repro.service.schema import (
+    ENGINES,
+    GridRequest,
+    SolveRequest,
+    SweepRequest,
+)
 from repro.service.aio import (
     AsyncServerHandle,
     AsyncServiceServer,

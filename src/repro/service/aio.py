@@ -37,8 +37,10 @@ from repro.service.router import (
     MAX_BODY_BYTES,
     Response,
     ServiceError,
+    deprecation_headers,
     error_response,
     handle,
+    parse_json_body,
     split_version,
 )
 
@@ -217,16 +219,8 @@ class AsyncServiceServer:
         coalescer = service.coalescer
         assert coalescer is not None
         try:
-            from repro.service.router import parse_json_body
             payload = parse_json_body(body)
             request, tasks = service.solve_prepare(payload, strict=True)
-            if not service.solve_uses_coalescer(request):
-                # Explicit per-request engine override: the coalescer
-                # always batches, so honour the request on the executor
-                # path (off-loop, like every other blocking route).
-                loop = asyncio.get_running_loop()
-                return Response.json(200, await loop.run_in_executor(
-                    None, lambda: service.solve(payload, strict=True)))
             started = time.perf_counter()
             future, cached_flags = coalescer.submit_request(tasks)
             values = (future.result() if future.done()
@@ -235,7 +229,8 @@ class AsyncServiceServer:
                 tasks, dict(enumerate(values)), cached_flags,
                 wall_seconds=time.perf_counter() - started,
                 jobs=1, mode="coalesced")
-            return Response.json(200, service.solve_response(request, result))
+            return Response.json(200, service.solve_response(request, result),
+                                 headers=deprecation_headers(payload))
         except ServiceError as exc:
             return error_response(exc)
         except asyncio.CancelledError:

@@ -32,7 +32,6 @@ from repro.service.cache import ResultCache
 from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
     DISPATCH_MODES,
-    ENGINES,
     CellTask,
     SweepExecutor,
     collect_sweep_result,
@@ -41,6 +40,7 @@ from repro.service.executor import (
 from repro.service.keys import prime_task_keys
 from repro.service.metrics import MetricsRegistry
 from repro.service.schema import (
+    ENGINES,
     GridRequest,
     ServiceError,
     SolveRequest,
@@ -70,10 +70,10 @@ class _SweepJob:
 class ModelService:
     """One cache + metrics + executor configuration behind the API.
 
-    ``engine`` is the default MVA backend (``"scalar"`` or
-    ``"batch"``); individual requests can override it with their own
-    ``engine`` field.  Cache keys are engine-independent, so switching
-    engines keeps every cached cell valid.
+    The executor picks the MVA engine for every request.  ``engine``
+    is deprecated and ignored (one of :data:`ENGINES` is still
+    required); health and capabilities report its historical default,
+    ``"scalar"``, until the field's sunset.
     """
 
     def __init__(self, cache: ResultCache | None = None, jobs: int = 1,
@@ -89,7 +89,6 @@ class ModelService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.jobs = jobs
         self.max_grid_cells = max_grid_cells
-        self.engine = engine
         self.sweep_state_dir = sweep_state_dir
         self.coalescer = coalescer
         self.started_at = time.time()
@@ -133,12 +132,9 @@ class ModelService:
                     metrics=self.metrics)
             return self._sweep_queue
 
-    def _executor(self, jobs: int | None = None,
-                  engine: str | None = None) -> SweepExecutor:
+    def _executor(self, jobs: int | None = None) -> SweepExecutor:
         return SweepExecutor(jobs=jobs if jobs is not None else self.jobs,
-                             cache=self.cache, metrics=self.metrics,
-                             engine=engine if engine is not None
-                             else self.engine)
+                             cache=self.cache, metrics=self.metrics)
 
     # -- operations ------------------------------------------------------
 
@@ -147,7 +143,7 @@ class ModelService:
         return {
             "status": "ok",
             "version": __version__,
-            "engine": self.engine,
+            "engine": "scalar",  # deprecated, see ENGINES
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "cache_entries": len(self.cache),
             "cache_hit_rate": round(self.cache.stats.hit_rate, 6),
@@ -166,8 +162,8 @@ class ModelService:
         batch resolves); the response is identical either way.
         """
         request, tasks = self.solve_prepare(payload, strict=strict)
-        if not self.solve_uses_coalescer(request):
-            result = self._executor(jobs=1, engine=request.engine).run(tasks)
+        if self.coalescer is None:
+            result = self._executor(jobs=1).run(tasks)
             return self.solve_response(request, result)
         started = time.perf_counter()
         future, cached_flags = self.coalescer.submit_request(tasks)
@@ -176,19 +172,6 @@ class ModelService:
             wall_seconds=time.perf_counter() - started,
             jobs=1, mode="coalesced")
         return self.solve_response(request, result)
-
-    def solve_uses_coalescer(self, request: SolveRequest) -> bool:
-        """Whether a solve request goes through the coalescer.
-
-        A request that *explicitly* selects an engine bypasses the
-        coalescing queue: coalesced batches are always solved by the
-        batch MVA engine (with the scalar path as fallback), so
-        honouring ``engine="scalar"`` means solving on the executor
-        path instead of silently overriding the request.  Results are
-        byte-identical either way; the field exists precisely so
-        clients can pin the code path.
-        """
-        return self.coalescer is not None and request.engine is None
 
     def solve_prepare(self, payload: Any, strict: bool = False
                       ) -> tuple[SolveRequest, list[CellTask]]:
@@ -228,9 +211,7 @@ class ModelService:
                 f"grid of {request.cell_count} cells exceeds the "
                 f"per-request limit of {self.max_grid_cells}",
                 code="grid-too-large")
-        result = self._executor(jobs=request.jobs,
-                                engine=request.engine).run_spec(
-                                    request.spec())
+        result = self._executor(jobs=request.jobs).run_spec(request.spec())
         self._reject_total_failure(result)
         return {
             "cells": self._cell_rows(result),
@@ -343,8 +324,8 @@ class ModelService:
         return {
             "api_version": API_VERSION,
             "version": __version__,
-            "engines": list(ENGINES),
-            "default_engine": self.engine,
+            "engines": list(ENGINES),  # deprecated with the field
+            "default_engine": "scalar",
             "dispatch_modes": list(DISPATCH_MODES),
             "coalesce": coalesce,
             "limits": {

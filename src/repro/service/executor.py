@@ -2,8 +2,8 @@
 
 Turns a :class:`repro.analysis.grid.GridSpec` into an explicit list of
 independent :class:`CellTask` work items, answers as many as possible
-from the result cache, and fans the rest out over a
-``concurrent.futures`` process pool.  Guarantees:
+from the result cache, solves the pending MVA cells in process and
+fans the simulation cells out over worker processes.  Guarantees:
 
 * **Deterministic ordering** -- results come back in task order (the
   seed's protocol -> sharing -> size -> (mva, sim) order), whatever the
@@ -20,22 +20,23 @@ from the result cache, and fans the rest out over a
   deterministically perturbed seed; the *effective* seed that produced
   the result is recorded in the cached value so a cache hit stays
   traceable.
-* **Incremental cache flush** -- every fresh solve (every batch, on
-  the batch path) is written to the disk store in its own transaction,
-  so an interrupted sweep keeps its completed cells.
+* **Incremental cache flush** -- every fresh per-cell solve is written
+  to the disk store in its own transaction (a batch in one), so an
+  interrupted sweep keeps its completed cells.
+* **The executor picks the MVA engine** -- two or more pending MVA
+  cells are solved in process by one vectorized :mod:`repro.core.batch`
+  call (:func:`evaluate_mva_batch`), whatever ``jobs`` is; a single
+  MVA cell takes the scalar per-cell path.  Rows are bit-identical on
+  both (``repro verify`` holds them to zero tolerance), and if the
+  batch engine fails wholesale its cells fall back to the scalar path.
+* **Simulation fan-out** -- with jobs>1 the simulation cells go to the
+  sharded sweep queue (:mod:`repro.sweepq`): cells are grouped into
+  chunks, vector-DES chunks run as one lockstep pack inside a worker,
+  and results come back over shared memory.  ``dispatch="cells"``
+  restores the per-cell process pool.
 * **Graceful serial fallback** -- if the platform cannot spawn worker
   processes (sandboxes, restricted containers) the executor silently
   degrades to in-process serial evaluation with identical results.
-* **Selectable MVA engine** -- ``engine="batch"`` routes a sweep's MVA
-  cells through the vectorized :mod:`repro.core.batch` solver (one
-  fixed point for the whole grid) and falls back to the scalar path if
-  the batch engine fails wholesale; cache keys are engine-independent,
-  so both engines share entries.
-* **Chunked dispatch** -- jobs>1 sweeps default to the sharded sweep
-  queue (:mod:`repro.sweepq`): cells are grouped into chunks, each
-  chunk solved by one vectorized batch call inside a worker, results
-  transported over shared memory instead of per-cell pickles.
-  ``dispatch="cells"`` restores the per-cell process pool.
 
 Workers return plain dicts (the ``GridCell`` row plus solve metadata),
 which is also exactly what the cache persists, so a cache hit and a
@@ -76,9 +77,6 @@ from repro.workload.parameters import (
 #: Seed perturbation between simulation retry attempts (prime so bumped
 #: seeds never collide with the grid's own ``sim_seed + n`` spacing).
 _RETRY_SEED_STRIDE = 100_003
-
-#: The MVA evaluation backends an executor can run.
-ENGINES = ("scalar", "batch")
 
 #: How a parallel sweep is fanned out: ``auto`` routes jobs>1 through
 #: the chunked sweep queue (:mod:`repro.sweepq`), ``cells`` keeps the
@@ -559,9 +557,10 @@ class ExecutorSummary:
     retries: int
     wall_seconds: float
     jobs: int
-    #: "serial", "chunked", "chunked-inprocess", "process-pool" or
-    #: "serial-fallback" (optionally prefixed "batch+" when the sweep's
-    #: MVA cells went through the in-process batch engine first).
+    #: "batch" when the sweep's MVA cells went through the batch
+    #: engine, and how its other cells ran: "serial", "chunked",
+    #: "chunked-inprocess", "process-pool" or "serial-fallback"; joined
+    #: with "+" when both happened (e.g. "batch+chunked").
     mode: str
     failed: int = 0
     recovered: int = 0
@@ -767,9 +766,8 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker process count; ``1`` (default) evaluates serially
-        in-process with results identical to the historical
-        ``run_grid`` loop.
+        Worker process count for simulation cells; ``1`` (default)
+        evaluates them serially in-process.
     cache:
         Optional :class:`ResultCache`; flushed incrementally after
         every fresh solve or batch (an interrupted sweep keeps its
@@ -785,22 +783,16 @@ class SweepExecutor:
         If True, the first unsolvable cell raises
         :class:`CellFailedError` (the historical behaviour).  The
         default isolates failures into per-cell error rows.
-    engine:
-        MVA evaluation backend: ``"scalar"`` (default; per-cell
-        fixed-point solves, the historical path) or ``"batch"`` (all
-        MVA cells of a sweep solved together by the vectorized
-        :mod:`repro.core.batch` engine).  The engine only concerns MVA
-        cells: vector-DES cells are always packed into lockstep runs
-        (:func:`evaluate_sim_pack`, per chunk on the chunked path) and
-        scalar-DES cells always run one at a time.  Cache keys do not
-        include the engine, so both engines share cache entries.
     dispatch:
-        How jobs>1 sweeps fan out: ``"auto"`` (default) and
-        ``"chunked"`` route through the :class:`repro.sweepq.SweepQueue`
-        -- cells are sharded into chunks, each solved by one vectorized
-        batch call in a worker, results returned over shared memory --
-        while ``"cells"`` keeps the historical per-cell process pool.
-        Rows are byte-identical either way (``tests/test_determinism``).
+        How the simulation cells of a jobs>1 sweep fan out: ``"auto"``
+        (default) and ``"chunked"`` route them through the
+        :class:`repro.sweepq.SweepQueue` -- cells are sharded into
+        chunks, vector-DES chunks packed into one lockstep run in a
+        worker, results returned over shared memory -- while
+        ``"cells"`` keeps the historical per-cell process pool.  Rows
+        are byte-identical either way (``tests/test_determinism``).
+        MVA cells never fan out: two or more are one in-process batch
+        solve, cheaper than any fork (a single one is a scalar solve).
     chunk_size:
         Cells per chunk on the chunked path; ``None`` takes the
         queue's default (:meth:`repro.sweepq.SweepQueue.submit`) for
@@ -814,16 +806,13 @@ class SweepExecutor:
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
                  metrics: MetricsRegistry | None = None,
                  sim_retries: int = 2, strict: bool = False,
-                 engine: str = "scalar", dispatch: str = "auto",
+                 dispatch: str = "auto",
                  chunk_size: int | None = None,
                  state_dir: str | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         if sim_retries < 0:
             raise ValueError(f"sim_retries must be >= 0, got {sim_retries!r}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}")
         if dispatch not in DISPATCH_MODES:
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}")
@@ -832,7 +821,6 @@ class SweepExecutor:
         self.metrics = metrics
         self.sim_retries = sim_retries
         self.strict = strict
-        self.engine = engine
         self.dispatch = dispatch
         self.chunk_size = chunk_size
         self.state_dir = state_dir
@@ -864,27 +852,23 @@ class SweepExecutor:
         self._count("repro_cache_misses_total",
                     "Sweep cells that required a fresh solve.", len(pending))
 
-        batch_pending: list[tuple[int, CellTask]] = []
-        pending_rest = pending
-        if self.engine == "batch":
-            batch_pending = [(i, t) for i, t in pending if t.method == "mva"]
-            pending_rest = [(i, t) for i, t in pending if t.method != "mva"]
-
-        mode = "serial"
+        mva = [(i, t) for i, t in pending if t.method == "mva"]
+        sims = [(i, t) for i, t in pending if t.method != "mva"]
+        modes: list[str] = []
         try:
-            if batch_pending:
-                self._run_batch(batch_pending, values)
-                mode = "batch"
-            if pending_rest:
-                if self.jobs > 1 and len(pending_rest) > 1:
+            if mva:
+                modes.append(self._run_mva(mva, values))
+            if sims:
+                if self.jobs > 1 and len(sims) > 1:
                     if self.dispatch in ("auto", "chunked"):
-                        rest_mode = self._run_chunked(pending_rest, values)
+                        sim_mode = self._run_chunked(sims, values)
                     else:
-                        rest_mode = self._run_parallel(pending_rest, values)
+                        sim_mode = self._run_parallel(sims, values)
                 else:
-                    self._run_serial(pending_rest, values)
-                    rest_mode = "serial"
-                mode = (f"batch+{rest_mode}" if batch_pending else rest_mode)
+                    self._run_serial(sims, values)
+                    sim_mode = "serial"
+                if sim_mode not in modes:
+                    modes.append(sim_mode)
         finally:
             # Belt and braces: per-solve flushes already persisted every
             # completed cell, but make sure nothing dirty is left behind
@@ -895,33 +879,40 @@ class SweepExecutor:
         return collect_sweep_result(
             tasks, values, cached_flags,
             wall_seconds=time.perf_counter() - started,
-            jobs=self.jobs, mode=mode)
+            jobs=self.jobs, mode="+".join(modes) or "serial")
 
     # -- internals -------------------------------------------------------
 
-    def _run_batch(self, pending: list[tuple[int, CellTask]],
-                   values: dict[int, dict[str, Any]]) -> None:
-        """Solve the sweep's MVA cells in one vectorized batch.
+    def _run_mva(self, pending: list[tuple[int, CellTask]],
+                 values: dict[int, dict[str, Any]]) -> str:
+        """Solve the sweep's MVA cells in process; returns the mode.
 
-        If the batched engine itself dies (not a per-cell failure --
-        those come back as error payloads) the cells are re-run through
-        the scalar path, so ``engine="batch"`` can never lose a sweep
-        that scalar would have completed.
+        Two or more cells are one vectorized batch (``"batch"``); a
+        single cell takes the scalar per-cell path (``"serial"``).  If
+        the batched engine itself dies (not a per-cell failure -- those
+        come back as error payloads) the cells take the scalar path
+        too, so batching can never lose a sweep that the scalar path
+        would have completed.
         """
-        tasks = [task for _, task in pending]
-        try:
-            results = evaluate_mva_batch(tasks)
-        except Exception:  # noqa: BLE001 - engine fallback, not cell errors
-            results = [evaluate_with_retry(task, self.sim_retries)
-                       for task in tasks]
-        if self.cache is not None:
-            # One transaction for the whole batch, not one per cell.
-            self.cache.put_many(
-                (task.key, value) for task, value in zip(tasks, results)
-                if value.get("error") is None)
-            self.cache.flush()
-        for (index, task), value in zip(pending, results):
-            values[index] = self._absorb(task, index, value, store=False)
+        if len(pending) > 1:
+            tasks = [task for _, task in pending]
+            try:
+                results = evaluate_mva_batch(tasks)
+            except Exception:  # noqa: BLE001 - engine fallback, not cell errors
+                pass
+            else:
+                if self.cache is not None:
+                    # One transaction for the whole batch, not one per cell.
+                    self.cache.put_many(
+                        (task.key, value) for task, value in zip(tasks, results)
+                        if value.get("error") is None)
+                    self.cache.flush()
+                for (index, task), value in zip(pending, results):
+                    values[index] = self._absorb(task, index, value,
+                                                 store=False)
+                return "batch"
+        self._run_serial(pending, values)
+        return "serial"
 
     def _run_serial(self, pending: list[tuple[int, CellTask]],
                     values: dict[int, dict[str, Any]]) -> None:
@@ -946,8 +937,8 @@ class SweepExecutor:
         """Fan out over the sharded sweep queue (:mod:`repro.sweepq`).
 
         One ephemeral (or ``state_dir``-persistent) queue per sweep:
-        cells are sharded into chunks, each chunk solved by a single
-        vectorized batch-engine call inside a worker process, results
+        cells are sharded into chunks, each chunk solved inside a worker
+        process (vector-DES cells as one lockstep pack), results
         returned through shared memory.  The queue writes fresh solves
         through the executor's cache itself, so ``_absorb`` here only
         records metrics and the strict-mode check.  If the queue dies
@@ -956,7 +947,7 @@ class SweepExecutor:
         Worker processes are capped at the machine's core count:
         surplus workers on a saturated machine only add fork, journal
         and supervision overhead, while fewer, wider chunks keep the
-        vectorized batch solve at full width (the actual win)."""
+        lockstep packs wide."""
         tasks = [task for _, task in pending]
         workers = max(1, min(self.jobs, os.cpu_count() or 1))
         queue = None

@@ -30,6 +30,11 @@ headers for two release cycles and are now **retired**: any request to
 one answers ``410 Gone`` with code ``gone`` and the ``/v1`` successor
 in ``error.detail.successor`` (plus the same ``Link`` header), so a
 stale client gets a machine-actionable pointer instead of a silent 404.
+
+The ``engine`` field of ``/v1/solve`` and ``/v1/grid`` is in its
+deprecation cycle: still accepted, no effect, and every answer to a
+body that sets it carries ``Deprecation: true`` and a ``Sunset`` date
+(RFC 8594).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.service.app import ModelService
-from repro.service.schema import ServiceError
+from repro.service.schema import ENGINE_DEPRECATION_HEADERS, ServiceError
 
 _LOG = logging.getLogger(__name__)
 
@@ -123,6 +128,13 @@ def parse_json_body(body: bytes | None) -> Any:
             400, f"request body is not valid JSON: {exc}") from exc
 
 
+def deprecation_headers(payload: Any) -> tuple[tuple[str, str], ...]:
+    """The RFC 8594 headers owed to a body that sets ``engine``."""
+    if isinstance(payload, dict) and "engine" in payload:
+        return ENGINE_DEPRECATION_HEADERS
+    return ()
+
+
 def split_version(path: str) -> tuple[str, bool]:
     """Split ``path`` into (endpoint, versioned)."""
     prefix = f"/{API_VERSION}"
@@ -178,8 +190,9 @@ def _dispatch(service: ModelService, method: str, path: str,
                     "/sweep": service.sweep, "/verify": service.verify}
         handler = handlers.get(endpoint)
         if handler is not None:
-            return Response.json(200,
-                                 handler(parse_json_body(body), strict=True))
+            payload = parse_json_body(body)
+            return Response.json(200, handler(payload, strict=True),
+                                 headers=deprecation_headers(payload))
         if endpoint in GET_ROUTES or endpoint.startswith("/sweep/"):
             return _method_not_allowed(path, "GET")
         raise ServiceError(404, f"unknown path {path!r}")

@@ -5,8 +5,8 @@ layer behind both the versioned ``/v1`` endpoints and the legacy
 unversioned ones: every field is validated here, with field names
 aligned to the ``repro grid`` CLI flags (``--protocols`` ->
 ``protocols``, ``-n`` -> ``n``, ``--simulate`` -> ``simulate``,
-``--jobs`` -> ``jobs``, ``--engine`` -> ``engine``, ...), so a request
-body reads like the equivalent command line.
+``--jobs`` -> ``jobs``, ...), so a request body reads like the
+equivalent command line.
 
 Parsing raises :class:`ServiceError`, which carries an HTTP status, a
 stable machine-readable ``code`` (the ``/v1`` error envelope) and
@@ -25,13 +25,22 @@ from typing import Any, ClassVar
 from repro.analysis.grid import GridSpec
 from repro.protocols.family import PROTOCOLS
 from repro.protocols.modifications import ProtocolSpec, parse_mods
-from repro.service.executor import ENGINES
 from repro.workload.parameters import (
     ArchitectureParams,
     SharingLevel,
     WorkloadParameters,
     appendix_a_workload,
 )
+
+#: Values the deprecated ``engine`` request field (and the ``--engine``
+#: CLI flag) still accepts.  It has no effect: the executor picks the
+#: MVA engine itself (batch for two or more cells, scalar for one).
+ENGINES = ("scalar", "batch")
+
+#: RFC 8594 headers on every response to a request that sets ``engine``
+#: (the field is removed after the ``Sunset`` date).
+ENGINE_DEPRECATION_HEADERS = (("Deprecation", "true"),
+                              ("Sunset", "Thu, 01 Apr 2027 00:00:00 GMT"))
 
 _SHARING_BY_NAME = {
     "1": SharingLevel.ONE_PERCENT,
@@ -124,7 +133,7 @@ def parse_sizes(value: Any, field: str) -> tuple[int, ...]:
 
 
 def parse_engine(value: Any) -> str | None:
-    """The MVA backend field (``None`` means the service default)."""
+    """The deprecated MVA backend field: validated, then ignored."""
     if value is None:
         return None
     require(isinstance(value, str) and value in ENGINES,
@@ -168,7 +177,7 @@ class SolveRequest:
          "sharing": "5",                   # optional, default "5"
          "workload": {"tau": 3.0, ...},    # optional field overrides
          "arch": {"block_size": 8, ...},   # optional field overrides
-         "engine": "scalar" | "batch"}     # optional MVA backend
+         "engine": "scalar" | "batch"}     # deprecated, no effect
     """
 
     protocol: ProtocolSpec
@@ -250,7 +259,7 @@ class GridRequest:
          "requests": 40000,                   # optional (simulate)
          "seed": 1234,                        # optional (simulate)
          "jobs": 4,                           # optional worker count
-         "engine": "scalar" | "batch"}        # optional MVA backend
+         "engine": "scalar" | "batch"}        # deprecated, no effect
     """
 
     protocols: tuple[ProtocolSpec, ...]
@@ -336,7 +345,7 @@ class SweepRequest:
     rows -- poll ``GET /v1/sweep/{job_id}`` for progress and fetch the
     rows with a ``/v1/grid`` request once done (every solved cell lands
     in the shared result cache).  There is no ``engine`` field: sweep
-    workers always solve MVA chunks with the vectorized batch engine
+    workers solve MVA chunks with the vectorized batch engine
     (byte-identical to scalar).
     """
 

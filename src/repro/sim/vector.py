@@ -59,10 +59,10 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.protocols.modifications import Modification
 from repro.sim.config import SimulationConfig
+from repro.sim.stats import t_quantile
 from repro.sim.system import SNOOP_ACTION_CYCLES, SimulationResult
 from repro.workload.derived import DerivedInputs, derive_inputs
 from repro.workload.streams import RequestKind
@@ -310,7 +310,7 @@ class VectorSimulationResult:
         reps = self.n_replications
         if reps < 2:
             return 0.0
-        t_crit = float(_scipy_stats.t.ppf(0.975, df=reps - 1))
+        t_crit = t_quantile(0.975, reps - 1)
         return t_crit * float(np.std(self.speedup, ddof=1)) / math.sqrt(reps)
 
     def aggregate(self) -> SimulationResult:
@@ -1074,7 +1074,7 @@ class VectorSnoopingBusSimulator:
             grand = bmeans.mean(axis=1)
             var = (((bmeans - grand[:, None]) ** 2).sum(axis=1)
                    / (n_batches - 1))
-            t_crit = float(_scipy_stats.t.ppf(0.975, df=n_batches - 1))
+            t_crit = t_quantile(0.975, n_batches - 1)
             half = t_crit * np.sqrt(var / n_batches)
             with np.errstate(invalid="ignore", divide="ignore"):
                 speedup_half = np.where(

@@ -13,6 +13,7 @@ from repro.verify.differential import (
     TOLERANCES,
     diff_mva_des,
     diff_scalar_batch,
+    scalar_sweep,
 )
 from repro.verify.golden import (
     DEFAULT_CORPUS_PATH,
@@ -57,5 +58,6 @@ __all__ = [
     "diff_scalar_batch",
     "generate_corpus",
     "run_verify",
+    "scalar_sweep",
     "write_corpus",
 ]

@@ -24,7 +24,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.model import CacheMVAModel
-from repro.service.executor import CellTask, SweepExecutor, sim_config
+from repro.service import executor
+from repro.service.executor import (
+    CellTask,
+    SweepResult,
+    collect_sweep_result,
+    sim_config,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SimulationResult, simulate
 from repro.sim.vector import simulate_many
@@ -65,20 +71,38 @@ _ROW_FIELDS = ("speedup", "u_bus", "w_bus", "cycle_time",
                "processing_power", "error")
 
 
+def scalar_sweep(tasks: Sequence[CellTask],
+                 sim_retries: int = 2) -> SweepResult:
+    """The per-cell scalar reference: uncached, one
+    :func:`~repro.service.executor.evaluate_task` call per cell (through
+    ``evaluate_with_retry``, so a dead cell is the same error row a
+    sweep gives it), and never the batch engine -- what every sweep
+    must reproduce bit for bit, whichever engine the executor picks."""
+    values = {index: executor.evaluate_with_retry(task, sim_retries)
+              for index, task in enumerate(tasks)}
+    return collect_sweep_result(tasks, values, [False] * len(tasks),
+                                wall_seconds=0.0, jobs=1, mode="scalar")
+
+
 def diff_scalar_batch(tasks: Sequence[CellTask],
                       subject: str = "scalar-vs-batch") -> Audit:
     """Run ``tasks`` through both MVA engines; rows must be identical.
 
-    Every cell is evaluated twice -- once per engine, uncached -- and
-    the exported :class:`~repro.analysis.grid.GridCell` rows are
-    compared field-for-field at zero tolerance.  Cache keys are
-    engine-independent in production, so any drift the oracle catches
-    here would silently poison shared cache entries; that is why the
-    tolerance is zero and not "close enough".
+    Every cell is evaluated twice, uncached: once per cell on the
+    scalar path (:func:`scalar_sweep`) and once by one
+    :func:`~repro.service.executor.evaluate_mva_batch` call.  The
+    exported :class:`~repro.analysis.grid.GridCell` rows are compared
+    field-for-field at zero tolerance.  The executor serves multi-cell
+    sweeps from the batch engine and single cells from the scalar path
+    into one shared cache, so any drift the oracle catches here would
+    silently poison cache entries; that is why the tolerance is zero
+    and not "close enough".
     """
     audit = Audit(subject=subject)
-    scalar = SweepExecutor(engine="scalar").run(tasks)
-    batch = SweepExecutor(engine="batch").run(tasks)
+    scalar = scalar_sweep(tasks)
+    batch = collect_sweep_result(
+        tasks, dict(enumerate(executor.evaluate_mva_batch(tasks))),
+        [False] * len(tasks), wall_seconds=0.0, jobs=1, mode="batch")
     for task, s_cell, b_cell in zip(tasks, scalar.cells, batch.cells):
         cell_subject = (f"{task.protocol.label} {task.sharing_label} "
                         f"N={task.n}")

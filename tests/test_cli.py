@@ -176,7 +176,7 @@ class TestGridServiceFlags:
         assert args.port == 8321
         assert args.jobs == 1
         assert args.cache is None
-        assert args.engine == "scalar"
+        assert args.engine is None  # deprecated, no effect
         assert getattr(args, "async") is False
         assert args.coalesce_window_ms == 2.0
         assert args.max_batch == 256
@@ -184,21 +184,43 @@ class TestGridServiceFlags:
 
 
 class TestEngineFlag:
-    """--engine batch must be output-identical to the scalar default."""
+    """--engine is deprecated: accepted, one stderr line, no effect."""
 
     BASE = ["grid", "--protocols", "wo", "1", "-n", "2", "4"]
 
     def test_grid_batch_output_is_byte_identical(self, capsys):
         assert main(self.BASE) == 0
-        scalar = capsys.readouterr().out
-        assert main(self.BASE + ["--engine", "batch"]) == 0
-        assert capsys.readouterr().out == scalar
+        default = capsys.readouterr()
+        assert default.err == ""
+        for engine in ("batch", "scalar"):
+            assert main(self.BASE + ["--engine", engine]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == default.out
+            assert captured.err.count("\n") == 1
+            assert "--engine is deprecated" in captured.err
 
     def test_stress_engine_batch(self, capsys):
         assert main(["stress", "-n", "4", "--engine", "batch"]) == 0
-        out = capsys.readouterr().out
-        assert "isolation invariant: ok" in out
-        assert "(batch)" in out
+        captured = capsys.readouterr()
+        assert "isolation invariant: ok" in captured.out
+        assert "(batch)" in captured.out
+        assert "--engine is deprecated" in captured.err
+        assert main(["stress", "-n", "4"]) == 0
+        plain = capsys.readouterr().out
+        # Same report apart from the timing in the summary line.
+        strip = [line.split("; ")[0] for line in plain.splitlines()]
+        assert [line.split("; ")[0]
+                for line in captured.out.splitlines()] == strip
+
+    def test_grid_cache_cold_pass_is_one_batch(self, tmp_path, capsys):
+        """A cold ``grid --cache`` pass batches every MVA cell and
+        prints what the uncached run prints."""
+        assert main(self.BASE) == 0
+        plain = capsys.readouterr().out
+        assert main(self.BASE + ["--cache", str(tmp_path / "c.db")]) == 0
+        cold = capsys.readouterr()
+        assert cold.out == plain
+        assert cold.err.strip().endswith("(batch)")
 
     def test_bad_engine_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ engine-independence of the executor's cache keys.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,8 +210,8 @@ class TestBatchProperty:
 
 
 class TestEngineParityInExecutor:
-    """ISSUE acceptance: identical cache keys and identical
-    ``GridCell.as_row()`` payloads between engines."""
+    """Identical cache keys and identical ``GridCell.as_row()`` payloads
+    between the engines the executor picks from."""
 
     def _run(self, engine):
         from repro.service.cache import ResultCache
@@ -223,7 +224,16 @@ class TestEngineParityInExecutor:
         )
         tasks = tasks_for_spec(spec)
         cache = ResultCache()
-        result = SweepExecutor(cache=cache, engine=engine).run(tasks)
+        if engine == "batch":  # a multi-cell sweep: one batch solve
+            result = SweepExecutor(cache=cache).run(tasks)
+            assert result.summary.mode == "batch"
+        else:  # one single-cell sweep (the scalar path) per cell
+            results = [SweepExecutor(cache=cache).run([task])
+                       for task in tasks]
+            assert {r.summary.mode for r in results} == {"serial"}
+            result = SimpleNamespace(
+                cells=[r.cells[0] for r in results],
+                meta=[r.meta[0] for r in results])
         return tasks, cache, result
 
     def test_identical_cache_keys_and_rows(self):
@@ -252,15 +262,17 @@ class TestEngineParityInExecutor:
         spec = GridSpec(protocols=[ProtocolSpec.of(1)], sizes=[4, 8])
         tasks = tasks_for_spec(spec)
         cache = ResultCache()
-        first = SweepExecutor(cache=cache, engine="scalar").run(tasks)
-        second = SweepExecutor(cache=cache, engine="batch").run(tasks)
-        assert first.summary.cache_hits == 0
+        first = [SweepExecutor(cache=cache).run([task]) for task in tasks]
+        second = SweepExecutor(cache=cache).run(tasks)
+        assert [r.summary.mode for r in first] == ["serial"] * len(tasks)
+        assert sum(r.summary.cache_hits for r in first) == 0
         assert second.summary.cache_hits == len(tasks)
-        for a, b in zip(first.cells, second.cells):
-            assert a.as_row() == b.as_row()
+        for a, b in zip(first, second.cells):
+            assert a.cells[0].as_row() == b.as_row()
 
-    def test_rejects_unknown_engine(self):
+    def test_engine_keyword_is_gone(self):
+        """The executor picks the engine; nobody can pass one."""
         from repro.service.executor import SweepExecutor
 
-        with pytest.raises(ValueError, match="engine"):
-            SweepExecutor(engine="quantum")
+        with pytest.raises(TypeError, match="engine"):
+            SweepExecutor(engine="batch")

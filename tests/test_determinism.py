@@ -26,6 +26,7 @@ import json
 from repro.analysis.grid import GridSpec
 from repro.protocols.modifications import ProtocolSpec
 from repro.service.executor import SweepExecutor, tasks_for_spec
+from repro.verify import scalar_sweep
 from repro.sim.config import SimulationConfig
 from repro.sim.system import simulate
 from repro.workload.parameters import SharingLevel, appendix_a_workload
@@ -73,10 +74,15 @@ class TestSimulatorDeterminism:
                 == [v.as_dict() for v in second.violations])
 
 
-def _rows(spec: GridSpec, jobs: int, engine: str):
-    result = SweepExecutor(jobs=jobs, engine=engine).run(
-        tasks_for_spec(spec))
+def _rows(spec: GridSpec, jobs: int):
+    result = SweepExecutor(jobs=jobs).run(tasks_for_spec(spec))
     return [cell.as_row() for cell in result.cells]
+
+
+def _scalar_rows(spec: GridSpec):
+    """The per-cell scalar reference (no batch engine, no fan-out)."""
+    return [cell.as_row()
+            for cell in scalar_sweep(tasks_for_spec(spec)).cells]
 
 
 class TestExecutorDeterminism:
@@ -93,17 +99,15 @@ class TestExecutorDeterminism:
     def test_row_order_and_values_survive_parallelism(self):
         """jobs=4 fans cells out to worker processes; the assembled
         rows (order *and* float values) must match the serial run."""
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=4, engine="scalar")
+        assert _rows(self.SPEC, jobs=1) == _rows(self.SPEC, jobs=4)
 
     def test_row_order_and_values_survive_engine_choice(self):
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=1, engine="batch")
+        """The executor's batch solve reproduces the per-cell path."""
+        assert _scalar_rows(self.SPEC) == _rows(self.SPEC, jobs=1)
 
     def test_parallel_batch_matches_serial_scalar(self):
-        """The cross term: both knobs turned at once."""
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=4, engine="batch")
+        """The cross term: batch MVA and fanned-out DES at once."""
+        assert _scalar_rows(self.SPEC) == _rows(self.SPEC, jobs=4)
 
 
 class TestSweepQueueDeterminism:
@@ -141,7 +145,7 @@ class TestSweepQueueDeterminism:
         """workers in {1, 4}, two chunk sizes, one SIGKILLed worker and
         one interrupted-then-resumed run: every variant must reproduce
         the serial scalar executor's rows byte for byte."""
-        serial = _rows(self.SPEC, jobs=1, engine="scalar")
+        serial = _scalar_rows(self.SPEC)
 
         rows, _ = self._queue_rows(tmp_path, "w1", workers=1,
                                    chunk_size=3)

@@ -74,14 +74,22 @@ class TestRoutes:
         assert [r["n_processors"] for r in payload["results"]] == [4, 10]
         assert handle.service.coalescer.stats()["cells"] == 2
 
-    def test_explicit_engine_bypasses_coalescer(self, handle):
-        status, body = _post(handle.url, "/v1/solve",
-                             {"protocol": "berkeley", "n": 6,
-                              "engine": "scalar"})
+    def test_explicit_engine_is_coalesced_and_deprecated(self, handle):
+        """The deprecated ``engine`` field no longer bypasses the
+        coalescer; the answer carries the RFC 8594 headers."""
+        request = urllib.request.Request(
+            handle.url + "/v1/solve",
+            data=json.dumps({"protocol": "berkeley", "n": 6,
+                             "engine": "scalar"}).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            status, headers = resp.status, resp.headers
+            payload = json.loads(resp.read())
         assert status == 200
-        payload = json.loads(body)
-        assert payload["summary"]["mode"] != "coalesced"
-        assert handle.service.coalescer.stats()["cells"] == 0
+        assert payload["summary"]["mode"] == "coalesced"
+        assert handle.service.coalescer.stats()["cells"] == 1
+        assert headers["Deprecation"] == "true"
+        assert headers["Sunset"].endswith(" GMT")
 
     def test_solve_error_envelope(self, handle):
         status, body = _post(handle.url, "/v1/solve", {"n": 4})

@@ -281,21 +281,22 @@ class TestFlusherResilience:
 
 
 class TestEngineOverride:
-    def test_explicit_engine_bypasses_the_coalescer(self):
-        """A request that pins ``engine`` must be honoured: coalesced
-        batches always use the batch engine, so the request solves on
-        the executor path instead of being silently overridden."""
+    def test_explicit_engine_no_longer_bypasses_the_coalescer(self):
+        """The deprecated ``engine`` field has no effect: a request that
+        sets it is coalesced like any other, with the same rows."""
         service = ModelService.with_coalescer(window_ms=5)
         try:
             explicit = service.solve({"protocol": "berkeley", "n": 4,
                                       "engine": "scalar"})
-            assert explicit["summary"]["mode"] != "coalesced"
-            assert service.coalescer.stats()["cells"] == 0
+            assert explicit["summary"]["mode"] == "coalesced"
+            assert service.coalescer.stats()["cells"] == 1
             default = service.solve({"protocol": "berkeley", "n": 6})
             assert default["summary"]["mode"] == "coalesced"
-            assert service.coalescer.stats()["cells"] == 1
+            assert service.coalescer.stats()["cells"] == 2
         finally:
             service.close()
+        plain = ModelService().solve({"protocol": "berkeley", "n": 4})
+        assert explicit["results"] == plain["results"]
 
 
 class TestDedup:

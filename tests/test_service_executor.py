@@ -5,15 +5,18 @@ import pytest
 import repro.service.executor as executor_module
 from repro.analysis.grid import GridSpec, run_grid
 from repro.core.solver import FixedPointSolver
-from repro.protocols.modifications import ProtocolSpec
+from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.service.cache import ResultCache
 from repro.service.executor import (
     CellTask,
     SweepExecutor,
+    evaluate_task,
     evaluate_with_retry,
     tasks_for_spec,
 )
 from repro.service.metrics import MetricsRegistry
+from repro.sweepq.journal import SweepJournal
+from repro.verify import scalar_sweep
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 
@@ -24,6 +27,22 @@ def spec():
         sizes=[2, 8],
         sharing_levels=[SharingLevel.FIVE_PERCENT],
     )
+
+
+@pytest.fixture()
+def sim_spec():
+    """MVA cells plus their (short) scalar-DES cells: the cells a
+    jobs>1 sweep still fans out."""
+    return GridSpec(
+        protocols=[ProtocolSpec(), ProtocolSpec.of(1)],
+        sizes=[2, 8],
+        sharing_levels=[SharingLevel.FIVE_PERCENT],
+        include_simulation=True, sim_requests=300,
+    )
+
+
+def _scalar_rows(tasks):
+    return [cell.as_row() for cell in scalar_sweep(tasks).cells]
 
 
 class TestTaskExpansion:
@@ -58,20 +77,23 @@ class TestDeterminism:
         rows = [c.as_row() for c in run_grid(spec)]
         result = SweepExecutor(jobs=1).run_spec(spec)
         assert [c.as_row() for c in result.cells] == rows
-        assert result.summary.mode == "serial"
+        assert rows == _scalar_rows(tasks_for_spec(spec))
+        assert result.summary.mode == "batch"
 
-    def test_parallel_matches_serial(self, spec):
-        rows = [c.as_row() for c in run_grid(spec)]
-        result = SweepExecutor(jobs=2).run_spec(spec)
+    def test_parallel_matches_serial(self, sim_spec):
+        rows = [c.as_row() for c in run_grid(sim_spec)]
+        result = SweepExecutor(jobs=2).run_spec(sim_spec)
         assert [c.as_row() for c in result.cells] == rows
-        assert result.summary.mode in ("chunked", "chunked-inprocess",
-                                       "serial-fallback")
+        assert result.summary.mode in ("batch+chunked",
+                                       "batch+chunked-inprocess",
+                                       "batch+serial-fallback")
 
-    def test_cells_dispatch_matches_serial(self, spec):
-        rows = [c.as_row() for c in run_grid(spec)]
-        result = SweepExecutor(jobs=2, dispatch="cells").run_spec(spec)
+    def test_cells_dispatch_matches_serial(self, sim_spec):
+        rows = [c.as_row() for c in run_grid(sim_spec)]
+        result = SweepExecutor(jobs=2, dispatch="cells").run_spec(sim_spec)
         assert [c.as_row() for c in result.cells] == rows
-        assert result.summary.mode in ("process-pool", "serial-fallback")
+        assert result.summary.mode in ("batch+process-pool",
+                                       "batch+serial-fallback")
 
     def test_run_grid_accepts_an_executor(self, spec):
         cache = ResultCache()
@@ -251,7 +273,8 @@ class TestFailureIsolation:
 
     def test_cache_is_flushed_incrementally(self, tmp_path, monkeypatch):
         """An interrupted sweep keeps every cell completed before the
-        interruption in the on-disk store."""
+        interruption in the on-disk store (here on the per-cell path a
+        dead batch engine falls back to)."""
         path = tmp_path / "cells.json"
         cache = ResultCache(path=path)
         tasks = [_mva_task(n) for n in (2, 4, 8)]
@@ -263,6 +286,10 @@ class TestFailureIsolation:
             if calls["n"] == 3:
                 raise KeyboardInterrupt
             return real(task)
+
+        def batch_dies(tasks):
+            raise RuntimeError("batch engine down")
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", batch_dies)
         monkeypatch.setattr(executor_module, "evaluate_task", dies_on_third)
         with pytest.raises(KeyboardInterrupt):
             SweepExecutor(jobs=1, cache=cache).run(tasks)
@@ -328,17 +355,17 @@ class TestDampingRecovery:
 
 
 class TestSerialFallback:
-    def test_pool_failure_degrades_to_serial(self, spec, monkeypatch):
+    def test_pool_failure_degrades_to_serial(self, sim_spec, monkeypatch):
         def broken_pool(*args, **kwargs):
             raise OSError("no processes for you")
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
                             broken_pool)
-        rows = [c.as_row() for c in run_grid(spec)]
-        result = SweepExecutor(jobs=4, dispatch="cells").run_spec(spec)
-        assert result.summary.mode == "serial-fallback"
+        rows = [c.as_row() for c in run_grid(sim_spec)]
+        result = SweepExecutor(jobs=4, dispatch="cells").run_spec(sim_spec)
+        assert result.summary.mode == "batch+serial-fallback"
         assert [c.as_row() for c in result.cells] == rows
 
-    def test_broken_queue_degrades_to_process_pool(self, spec,
+    def test_broken_queue_degrades_to_process_pool(self, sim_spec,
                                                    monkeypatch):
         """The chunked path must never take the executor down with it:
         a queue that blows up falls back to per-cell dispatch."""
@@ -347,9 +374,10 @@ class TestSerialFallback:
         def broken_queue(*args, **kwargs):
             raise RuntimeError("journal on fire")
         monkeypatch.setattr(sweepq_module, "SweepQueue", broken_queue)
-        rows = [c.as_row() for c in run_grid(spec)]
-        result = SweepExecutor(jobs=2).run_spec(spec)
-        assert result.summary.mode in ("process-pool", "serial-fallback")
+        rows = [c.as_row() for c in run_grid(sim_spec)]
+        result = SweepExecutor(jobs=2).run_spec(sim_spec)
+        assert result.summary.mode in ("batch+process-pool",
+                                       "batch+serial-fallback")
         assert [c.as_row() for c in result.cells] == rows
 
     def test_jobs_validation(self):
@@ -359,3 +387,66 @@ class TestSerialFallback:
             SweepExecutor(sim_retries=-1)
         with pytest.raises(ValueError):
             SweepExecutor(dispatch="osmosis")
+
+
+class TestEnginePick:
+    """The executor picks the MVA engine: batch for two or more pending
+    MVA cells, the scalar path for one; rows identical either way."""
+
+    def test_default_grid_is_one_batch_matching_per_cell_rows(self):
+        spec = GridSpec(protocols=all_combinations(), sizes=range(1, 22))
+        result = SweepExecutor().run_spec(spec)
+        assert result.summary.total == 1008
+        assert result.summary.mode == "batch"
+        rows = [c.as_row() for c in run_grid(spec)]
+        assert [c.as_row() for c in result.cells] == rows
+        assert rows == [evaluate_task(task)["cell"]
+                        for task in tasks_for_spec(spec)]
+
+    def test_single_cell_takes_the_scalar_path(self, monkeypatch):
+        def no_batch(tasks):
+            raise AssertionError("a single cell must not batch")
+        task = _mva_task(8)
+        expected = evaluate_task(task)["cell"]
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", no_batch)
+        result = SweepExecutor().run([task])
+        assert result.summary.mode == "serial"
+        assert result.cells[0].as_row() == expected
+
+    def test_wholesale_batch_failure_falls_back_to_scalar(self, spec,
+                                                          monkeypatch):
+        rows = [c.as_row() for c in run_grid(spec)]
+
+        def batch_dies(tasks):
+            raise RuntimeError("batch engine down")
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", batch_dies)
+        cache = ResultCache()
+        result = SweepExecutor(cache=cache).run_spec(spec)
+        assert result.summary.mode == "serial"
+        assert result.summary.failed == 0
+        assert [c.as_row() for c in result.cells] == rows
+        assert len(cache) == len(rows)
+
+    def test_jobs_2_batches_mva_in_process_and_chunks_des(
+            self, sim_spec, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        tasks = tasks_for_spec(sim_spec)
+        batches = []
+        real = executor_module.evaluate_mva_batch
+
+        def counting(batch):
+            batches.append(len(batch))
+            return real(batch)
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", counting)
+        result = SweepExecutor(jobs=2, state_dir=str(tmp_path)).run(tasks)
+        mva_cells = sum(1 for task in tasks if task.method == "mva")
+        assert batches == [mva_cells]
+        assert result.summary.mode in ("batch+chunked",
+                                       "batch+chunked-inprocess")
+        journal = SweepJournal(tmp_path / "journal.db")
+        try:
+            (job,) = journal.list_jobs()
+            assert job.total_cells == len(tasks) - mva_cells
+        finally:
+            journal.close()
+        assert [c.as_row() for c in result.cells] == _scalar_rows(tasks)

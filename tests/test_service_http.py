@@ -167,6 +167,8 @@ class TestFailureSemantics:
     surviving cell is a request-level error."""
 
     def _poison(self, monkeypatch, dead_sizes):
+        """Kill the batch engine wholesale, so every cell falls back to
+        the per-cell path, where the cells of ``dead_sizes`` raise."""
         import repro.service.executor as executor_module
         real = executor_module.evaluate_task
 
@@ -174,7 +176,12 @@ class TestFailureSemantics:
             if task.n in dead_sizes:
                 raise RuntimeError(f"injected failure at N={task.n}")
             return real(task)
+
+        def batch_down(tasks):
+            raise RuntimeError("batch engine down")
         monkeypatch.setattr(executor_module, "evaluate_task", poisoned)
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch",
+                            batch_down)
 
     def test_partial_failure_is_200_with_error_row(self, server,
                                                    monkeypatch):

@@ -166,17 +166,19 @@ class TestLegacyRetirement:
 
 class TestEngineField:
     def test_solve_with_batch_engine_matches_scalar(self, server):
-        scalar = _post(server, "/v1/solve",
-                       {"protocol": "berkeley", "n": [4, 10]})[2]
+        _, plain_headers, scalar = _post(server, "/v1/solve",
+                                         {"protocol": "berkeley",
+                                          "n": [4, 10]})
+        assert "Deprecation" not in plain_headers
         # Fresh service so the cache cannot mask the engine.
         batch_server = start_server(ModelService())
         thread = threading.Thread(target=batch_server.serve_forever,
                                   daemon=True)
         thread.start()
         try:
-            batch = _post(batch_server, "/v1/solve",
-                          {"protocol": "berkeley", "n": [4, 10],
-                           "engine": "batch"})[2]
+            _, headers, batch = _post(batch_server, "/v1/solve",
+                                      {"protocol": "berkeley", "n": [4, 10],
+                                       "engine": "batch"})
         finally:
             batch_server.shutdown()
             batch_server.server_close()
@@ -184,20 +186,33 @@ class TestEngineField:
         assert batch["summary"]["mode"] == "batch"
         assert [r["speedup"] for r in batch["results"]] == \
             [r["speedup"] for r in scalar["results"]]
+        assert batch["results"] == scalar["results"]
+        # The field is deprecated (RFC 8594): still accepted, no effect.
+        assert headers["Deprecation"] == "true"
+        assert headers["Sunset"] == "Thu, 01 Apr 2027 00:00:00 GMT"
 
     def test_grid_engine_field(self, server):
-        status, _, payload = _post(server, "/v1/grid", {
-            "protocols": ["write-once"], "n": [2, 4], "sharing": ["5"],
-            "engine": "batch"})
+        body = {"protocols": ["write-once"], "n": [2, 4], "sharing": ["5"]}
+        status, headers, payload = _post(server, "/v1/grid",
+                                         dict(body, engine="scalar"))
         assert status == 200
         assert payload["summary"]["mode"] == "batch"
         assert all(c["status"] == "ok" for c in payload["cells"])
+        assert headers["Deprecation"] == "true"
+        assert "Sunset" in headers
+        fresh = ModelService().grid(body)
+        assert [dict(c, cached=False) for c in payload["cells"]] == \
+            fresh["cells"]
 
     def test_service_default_engine(self):
-        service = ModelService(engine="batch")
-        payload = service.grid({"protocols": ["write-once"], "n": [2],
-                                "sharing": ["5"]})
-        assert payload["summary"]["mode"] == "batch"
+        """The ``engine`` keyword is accepted and ignored: the executor
+        picks batch for two or more cells and scalar for one."""
+        for cells, mode in (([2], "serial"), ([2, 4], "batch")):
+            body = {"protocols": ["write-once"], "n": cells,
+                    "sharing": ["5"]}
+            payload = ModelService(engine="batch").grid(body)
+            assert payload["summary"]["mode"] == mode
+            assert payload["cells"] == ModelService().grid(body)["cells"]
         with pytest.raises(ValueError):
             ModelService(engine="quantum")
 

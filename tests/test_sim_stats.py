@@ -1,12 +1,17 @@
 """Tests for the streaming statistics helpers."""
 
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import BatchMeans, TimeWeightedAverage, Welford
+from repro.sim import stats as stats_module
+from repro.sim.stats import BatchMeans, TimeWeightedAverage, Welford, t_quantile
 
 
 class TestWelford:
@@ -143,3 +148,49 @@ class TestBatchMeans:
         assert b.count == 0
         b.add(1.0)
         assert b.count == 1
+
+
+class TestTQuantile:
+    def test_table_is_bit_identical_to_scipy(self):
+        from scipy import stats as scipy_stats
+
+        table = stats_module._T_975
+        assert len(table) == 128
+        for df, value in enumerate(table, start=1):
+            assert value == float(scipy_stats.t.ppf(0.975, df=df)), df
+            assert t_quantile(0.975, df) == value
+        # 95% two-sided is q = 0.975 exactly, as BatchMeans computes it
+        assert 0.5 + 0.95 / 2.0 == 0.975
+
+    def test_outside_the_table_falls_back_to_scipy(self):
+        from scipy import stats as scipy_stats
+
+        assert t_quantile(0.975, 200) == float(
+            scipy_stats.t.ppf(0.975, df=200))
+        assert t_quantile(0.95, 10) == float(scipy_stats.t.ppf(0.95, df=10))
+
+    def test_cli_import_and_a_des_run_load_no_scipy(self):
+        """Start-up and a 16-replication vector-DES run (the width every
+        sweep worker runs) never import scipy."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.protocols.modifications import ProtocolSpec\n"
+            "from repro.sim.config import SimulationConfig\n"
+            "from repro.sim.vector import simulate_many\n"
+            "from repro.workload.parameters import SharingLevel, "
+            "appendix_a_workload\n"
+            "config = SimulationConfig(n_processors=4, workload="
+            "appendix_a_workload(SharingLevel.FIVE_PERCENT), "
+            "protocol=ProtocolSpec(), measured_requests=400, "
+            "warmup_requests=100)\n"
+            "result = simulate_many(config, 16)\n"
+            "assert result.speedup_band_halfwidth > 0.0\n"
+            "assert result.aggregate().speedup_ci_halfwidth > 0.0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout
+        assert out.strip() == "[]"

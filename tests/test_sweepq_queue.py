@@ -421,8 +421,11 @@ _MVA_ONLY = GridSpec(protocols=all_combinations(), sizes=list(range(1, 65)))
 
 
 class TestExecutorChunkTables:
-    """``SweepExecutor(jobs=4)`` keeps the chunk tables it had when it
-    computed its own default: (chunks, chunk size) per core count."""
+    """The queue keeps the chunk tables ``SweepExecutor(jobs=4)`` had
+    when it computed its own default and still fanned MVA cells out:
+    (chunks, chunk size) for the worker count it capped to per core
+    count.  (The executor now solves MVA cells in process, and sends
+    only simulation cells to the queue.)"""
 
     @pytest.mark.parametrize("spec, cores, table", [
         (_MIXED, 1, (4, 3)), (_MIXED, 2, (6, 2)), (_MIXED, 4, (12, 1)),
@@ -430,8 +433,11 @@ class TestExecutorChunkTables:
     ])
     def test_chunk_table(self, tmp_path, monkeypatch, spec, cores, table):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        SweepExecutor(jobs=4, state_dir=str(tmp_path)).run(
-            tasks_for_spec(spec))
+        queue = SweepQueue(state_dir=tmp_path)
+        try:
+            queue.run_tasks(tasks_for_spec(spec), workers=min(4, cores))
+        finally:
+            queue.close()
         journal = SweepJournal(tmp_path / "journal.db")
         try:
             (job,) = journal.list_jobs()

@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.protocols.modifications import ProtocolSpec, all_combinations
-from repro.service.executor import CellTask
-from repro.verify import TOLERANCES, diff_mva_des, diff_scalar_batch
+from repro.service.executor import CellTask, evaluate_task
+from repro.verify import (
+    TOLERANCES,
+    diff_mva_des,
+    diff_scalar_batch,
+    scalar_sweep,
+)
 from repro.verify.violations import Severity
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
@@ -65,6 +71,34 @@ class TestScalarVsBatch:
         assert all(v.context.get("field") for v in parity)
         assert all("scalar" in v.context and "batch" in v.context
                    for v in parity)
+
+    def test_scalar_leg_never_touches_the_batch_engine(self, monkeypatch):
+        """The oracle stays two-sided: its scalar leg is the per-cell
+        path even though the executor would batch these cells."""
+        tasks = _tasks()
+        expected = [evaluate_task(task)["cell"] for task in tasks]
+
+        def no_batch(batch):
+            raise AssertionError("the scalar leg reached the batch engine")
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", no_batch)
+        result = scalar_sweep(tasks)
+        assert result.summary.failed == 0
+        assert [cell.as_row() for cell in result.cells] == expected
+
+    def test_perturbed_scalar_engine_is_caught(self, monkeypatch):
+        """Skew the per-cell path's speedup by one part in 1e6: the
+        oracle must see it, so the scalar leg really is that path."""
+        real = executor_module.evaluate_task
+
+        def skewed(task):
+            value = real(task)
+            value["cell"]["speedup"] *= 1.0 + 1e-6
+            return value
+        monkeypatch.setattr(executor_module, "evaluate_task", skewed)
+        audit = diff_scalar_batch(_tasks())
+        parity = [v for v in _errors(audit) if v.law == "engine-parity"]
+        assert {v.context["field"] for v in parity} == {"speedup"}
+        assert len(parity) == len(_tasks())
 
 
 class TestMvaVsDes:
