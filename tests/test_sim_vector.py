@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +398,99 @@ class TestIntegrationSeams:
         rc = main(["simulate", "-n", "2", "--reps", "2"])
         assert rc == 2
         assert "--engine vector" in capsys.readouterr().err
+
+
+#: Committed per-replication rows and aggregates of two small packs
+#: (:func:`_golden_packs`); regenerate with
+#: ``PYTHONPATH=src python -m tests.test_sim_vector`` only when a change
+#: is *meant* to move DES rows.
+GOLDEN_ROWS = Path(__file__).resolve().parent / "data" / "vector_golden_rows.json"
+
+
+def _golden_packs():
+    """A ragged mixed pack (N in {1, 2, 4, 16}; Write-Once, WO+1+2+3+4
+    and the cache-to-cache WO+2; one cell with read-memory contention,
+    one with a holder-probability override) and a warm-up-0 pack."""
+    five = appendix_a_workload(SharingLevel.FIVE_PERCENT)
+    twenty = appendix_a_workload(SharingLevel.TWENTY_PERCENT)
+    mixed = [
+        (_config(five, n=1, seed=11, warmup=150, measured=300), 2),
+        (_config(twenty, n=4, seed=12, warmup=150, measured=300,
+                 model_read_memory_contention=True), 3),
+        (_config(twenty, n=16, mods=(1, 2, 3, 4), seed=13, warmup=150,
+                 measured=300), 2),
+        (_config(twenty, n=2, mods=(2,), seed=14, warmup=150,
+                 measured=300, holder_probability=0.8), 3),
+        (_config(five, n=4, mods=(1, 2, 3, 4), seed=15, warmup=150,
+                 measured=300), 2),
+    ]
+    cold = [
+        (_config(twenty, n=4, mods=(2,), seed=21, warmup=0,
+                 measured=300), 2),
+        (_config(five, n=2, seed=22, warmup=0, measured=300), 2),
+    ]
+    return [mixed, cold]
+
+
+def _golden_record():
+    """Every golden cell's rows and aggregate, as plain JSON data."""
+    packs = []
+    for cells in _golden_packs():
+        results = VectorSnoopingBusSimulator.pack(
+            [config for config, _ in cells],
+            [reps for _, reps in cells]).run()
+        packs.append([
+            {"rows": [dataclasses.asdict(result.replication(r))
+                      for r in range(result.n_replications)],
+             "aggregate": dataclasses.asdict(result.aggregate())}
+            for result in results])
+    return packs
+
+
+def _assert_same(actual, expected, where="rows"):
+    """Integers, strings and keys exactly; floats at rel_tol=1e-12 (a
+    different NumPy build may round a libm call differently)."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), \
+            where
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), \
+            where
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{where}[{index}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert (math.isnan(actual) and math.isnan(expected)) or \
+            math.isclose(actual, expected, rel_tol=1e-12), (
+                where, actual, expected)
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            where, actual, expected)
+
+
+class TestGoldenRows:
+    """The engine's rows against a committed reference: packed-vs-alone
+    invariance cannot see a change that moves every lane alike."""
+
+    def test_rows_match_the_committed_reference(self):
+        expected = json.loads(GOLDEN_ROWS.read_text())
+        _assert_same(_golden_record(), expected)
+
+    def test_reference_covers_the_promised_corners(self):
+        configs = [config for cells in _golden_packs()
+                   for config, _ in cells]
+        assert {c.n_processors for c in configs} == {1, 2, 4, 16}
+        assert {c.protocol.label for c in configs} >= {
+            "Write-Once", "WO+1+2+3+4", "WO+2"}
+        assert any(c.model_read_memory_contention for c in configs)
+        assert any(c.holder_probability is not None for c in configs)
+        assert {c.warmup_requests for c in configs} == {150, 0}
+
+
+if __name__ == "__main__":
+    GOLDEN_ROWS.parent.mkdir(exist_ok=True)
+    GOLDEN_ROWS.write_text(json.dumps(_golden_record(), indent=1,
+                                      sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_ROWS}")
