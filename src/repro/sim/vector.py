@@ -94,36 +94,33 @@ class _UniformLanes:
         self._gens = [np.random.default_rng(s) for s in seeds]
         chunks = np.maximum(4096, 8 * widths)
         self._chunks = chunks
-        first = int(chunks[0])
-        #: The refill limit: one scalar when every lane agrees (no
-        #: gather per draw), else the per-lane array.
-        self._limit = (first if bool((chunks == first).all())
-                       else chunks)
-        self._stride = int(chunks.max()) + int(widths.max())
+        stride = int(chunks.max()) + int(widths.max())
         n = len(self._gens)
-        self._buf = np.zeros((n, self._stride), dtype=np.float64)
+        self._buf = np.zeros((n, stride), dtype=np.float64)
         for lane, gen in enumerate(self._gens):
             self._buf[lane, :chunks[lane]] = gen.random(chunks[lane])
         self._flat = self._buf.ravel()
-        self._pos = np.zeros(n, dtype=np.int64)
+        #: Each lane's next read as a flat buffer index; a draw that
+        #: would run past ``_end`` refills the lane first.
+        self._base = np.arange(n, dtype=np.int64) * stride
+        self._cur = self._base.copy()
+        self._end = self._base + chunks
         self._aranges: dict[int, np.ndarray] = {}
 
     def _advance(self, rows: np.ndarray, width: Any) -> np.ndarray:
         """Refill any lane whose buffer cannot serve ``width`` more
-        uniforms; returns the rows' read positions."""
-        pos = self._pos
-        p = pos[rows]
-        limit = self._limit
-        if isinstance(limit, np.ndarray):
-            limit = limit[rows]
-        over = p + width > limit
-        if over.any():
-            for lane in rows[over]:
+        uniforms; returns the rows' flat read positions."""
+        cur = self._cur[rows]
+        nxt = cur + width
+        over = nxt > self._end[rows]
+        if np.count_nonzero(over):
+            for lane in rows[over].tolist():
                 chunk = self._chunks[lane]
                 self._buf[lane, :chunk] = self._gens[lane].random(chunk)
-                pos[lane] = 0
-            p = pos[rows]
-        return p
+            cur = np.where(over, self._base[rows], cur)
+            nxt = cur + width
+        self._cur[rows] = nxt
+        return cur
 
     def _offsets(self, width: int) -> np.ndarray:
         offs = self._aranges.get(width)
@@ -137,53 +134,21 @@ class _UniformLanes:
         Returns shape ``(len(rows),)`` when ``width == 1`` else
         ``(len(rows), width)``.
         """
-        p = self._advance(rows, width)
-        base = rows * self._stride + p
+        cur = self._advance(rows, width)
         if width == 1:
-            out = self._flat[base]
-        else:
-            out = self._flat[base[:, None] + self._offsets(width)]
-        self._pos[rows] = p + width
-        return out
+            return self._flat[cur]
+        return self._flat[cur[:, None] + self._offsets(width)]
 
     def take_ragged(self, rows: np.ndarray, widths: np.ndarray,
                     width: int) -> np.ndarray:
-        """Draw ``widths[i]`` uniforms from lane ``rows[i]``, padded.
+        """Draw ``widths[i]`` uniforms from lane ``rows[i]``.
 
         Returns shape ``(len(rows), width)``; a row's columns past its
-        own width read 1.0, which no ``u < p`` test with ``p <= 1``
-        accepts, and consume nothing from the lane's stream.
+        own width are not its draws (the caller masks them) and consume
+        nothing from the lane's stream.
         """
-        p = self._advance(rows, widths)
-        offs = self._offsets(width)
-        out = self._flat[(rows * self._stride + p)[:, None] + offs]
-        out[offs >= widths[:, None]] = 1.0
-        self._pos[rows] = p + widths
-        return out
-
-
-def _lane_param(values: Sequence[Any], counts: Sequence[int]) -> Any:
-    """One per-cell constant spread over the lane axis.
-
-    Returns the plain scalar when every cell agrees, which saves a
-    gather at each use; otherwise the ``(lanes,)`` array.  Either form
-    feeds the same IEEE operations, so results do not depend on it.
-    """
-    first = values[0]
-    if all(value == first for value in values):
-        return first
-    return np.repeat(np.asarray(values), counts)
-
-
-def _at(param: Any, rows: np.ndarray) -> Any:
-    """A lane parameter for the listed rows (scalar passes through)."""
-    return param[rows] if isinstance(param, np.ndarray) else param
-
-
-def _col(param: Any, rows: np.ndarray) -> Any:
-    """:func:`_at` as a column, to broadcast against ``(rows, N)``."""
-    return (param[rows][:, None] if isinstance(param, np.ndarray)
-            else param)
+        cur = self._advance(rows, widths)
+        return self._flat[cur[:, None] + self._offsets(width)]
 
 
 def pack_key(config: SimulationConfig) -> tuple[Any, ...]:
@@ -211,14 +176,22 @@ class PackCell:
         return self.hi - self.lo
 
 
+def _mean_add(count: np.ndarray, mean: np.ndarray, rows: np.ndarray,
+              values: Any) -> np.ndarray:
+    """Vectorized Welford mean update, one sample per row; returns the
+    step ``values - old mean`` for :func:`_wadd`'s second moment."""
+    c = count[rows] + 1
+    count[rows] = c
+    old = mean[rows]
+    delta = values - old
+    mean[rows] = old + delta / c
+    return delta
+
+
 def _wadd(count: np.ndarray, mean: np.ndarray, m2: np.ndarray,
-          rows: np.ndarray, values: np.ndarray | float) -> None:
-    """Vectorized Welford update; each row receives one sample."""
-    if rows.size == 0:
-        return
-    count[rows] += 1
-    delta = values - mean[rows]
-    mean[rows] += delta / count[rows]
+          rows: np.ndarray, values: Any) -> None:
+    """:func:`_mean_add` plus the second-moment accumulator."""
+    delta = _mean_add(count, mean, rows, values)
     m2[rows] += delta * (values - mean[rows])
 
 
@@ -450,10 +423,12 @@ class VectorSnoopingBusSimulator:
         self.config = configs[0]
         self.reps = lo
         self.seeds = tuple(s for cell in cells for s in cell.seeds)
+        #: Lockstep ticks of the last :meth:`run` (0 before one).
+        self.ticks = 0
 
     # -- per-lane constants --------------------------------------------
 
-    def _constants(self) -> dict[str, Any]:
+    def _constants(self) -> dict[str, np.ndarray]:
         """Every per-cell model constant, spread over the lane axis.
 
         The values are computed exactly as a one-cell run computes its
@@ -496,44 +471,40 @@ class VectorSnoopingBusSimulator:
                 Modification.CACHE_TO_CACHE_SUPPLY.value in inputs.mods)
             put("contention", bool(cfg.model_read_memory_contention))
         counts = [cell.reps for cell in self.cells]
-        return {name: _lane_param(values, counts)
+        return {name: np.repeat(np.asarray(values), counts)
                 for name, values in rows.items()}
 
     # -- the lockstep event loop ---------------------------------------
 
     def run(self) -> list[VectorSimulationResult]:
         """Run warm-up plus measurement in every lane; one result per
-        cell, in pack order."""
+        cell, in pack order.  Leaves the lockstep tick count in
+        :attr:`ticks`."""
         cfg = self.config
         reps = self.reps
         k = self._constants()
-        p_local, p_loc_bc = k["p_local"], k["p_loc_bc"]
-        sr_frac, srsw_frac = k["sr_frac"], k["srsw_frac"]
-        bc_shared_frac = k["bc_shared_frac"]
-        csupply_sro, csupply_sw = k["csupply_sro"], k["csupply_sw"]
-        wb_csupply, p_reqwb_rr = k["wb_csupply"], k["p_reqwb_rr"]
-        hp, tau, t_supply, t_bc = k["hp"], k["tau"], k["t_supply"], k["t_bc"]
-        t_block, base_read = k["t_block"], k["base_read"]
-        cache_supply, c2c = k["cache_supply"], k["c2c"]
-        n_less1 = k["n_less1"]
-
-        def per_lane(param: Any) -> np.ndarray:
-            """A lane parameter as a ``(lanes,)`` array, even if scalar."""
-            return np.broadcast_to(np.asarray(param), (reps,))
-
-        lane_n, lane_tau = per_lane(k["n"]), per_lane(tau)
+        lane_n, lane_tau = k["n"], k["tau"]
+        n = int(lane_n.max())
+        # Cells of different N: N-sized draws take ragged widths.
+        ragged = bool((lane_n != n).any())
+        valid = np.arange(n) < lane_n[:, None]
         # Flags as lane masks, with pack-wide any/all shortcuts.
-        bc_mem, contention = per_lane(k["bc_mem"]), per_lane(k["contention"])
-        any_bc_mem, all_bc_mem = bool(bc_mem.any()), bool(bc_mem.all())
-        any_contention = bool(contention.any())
+        bc_mem, contention, c2c = k["bc_mem"], k["contention"], k["c2c"]
+        any_bc_mem, any_contention = bool(bc_mem.any()), bool(contention.any())
+        any_c2c = bool(c2c.any())
         multi = lane_n > 1
         any_multi, all_multi = bool(multi.any()), bool(multi.all())
         tau_pos = lane_tau > 0.0
         all_tau_pos = bool(tau_pos.all())
+        # Per-lane constants stacked per branch: one gather serves each.
+        fire_k = np.array([k["p_local"], k["p_loc_bc"]])
+        comp_k = np.array([k["t_supply"], lane_tau])
+        grant_k = np.array([k[name] for name in (
+            "p_loc_bc", "bc_shared_frac", "sr_frac", "srsw_frac",
+            "csupply_sro", "csupply_sw", "wb_csupply", "p_reqwb_rr",
+            "t_bc", "cache_supply", "base_read", "t_block", "hp")])
+        n_less1 = k["n_less1"]
 
-        n = int(lane_n.max())
-        # Cells of different N: N-sized draws take ragged widths.
-        ragged = isinstance(k["n"], np.ndarray)
         n_modules, mem_latency = cfg.arch.memory_modules, cfg.arch.memory_latency
         warmup, target = cfg.warmup_requests, cfg.measured_requests
         n_batches = cfg.n_batches
@@ -541,63 +512,58 @@ class VectorSnoopingBusSimulator:
         batch_take = batch_size * n_batches
 
         lanes = _UniformLanes(self.seeds, np.maximum(5, lane_n))
-        rrange = np.arange(reps)
-        rbase = rrange * n
+        rbase = np.arange(reps) * n
         inf = np.inf
+        fmax = np.finfo(np.float64).max
+        rows_of = np.arange(max(reps, 1))
 
-        # Per-(lane, proc) state, padded to the pack's largest N.  The
-        # ``*_f`` aliases are flat views: indexing one ``(lane, proc)``
-        # pair costs a single fancy index on ``lane * n + proc`` instead
-        # of a 2-D advanced index.
-        proc_state = np.full((reps, n), _EXEC, dtype=np.int8)
-        proc_time = np.where(np.arange(n) < lane_n[:, None], 0.0, inf)
-        cycle_start = np.zeros((reps, n), dtype=np.float64)
-        fire_time = np.zeros((reps, n), dtype=np.float64)
-        kind = np.zeros((reps, n), dtype=np.int8)
-        f_shared = np.zeros((reps, n), dtype=bool)
-        f_csup = np.zeros((reps, n), dtype=bool)
-        f_supwb = np.zeros((reps, n), dtype=bool)
-        f_reqwb = np.zeros((reps, n), dtype=bool)
-        cache_until = np.zeros((reps, n), dtype=np.float64)
-        state_f = proc_state.ravel()
+        # Per-(lane, proc) state, padded to the pack's largest N; the
+        # ``*_f`` names are flat views, so one fancy index on
+        # ``lane * n + proc`` reaches a (lane, proc) pair.
+        proc_time = np.where(valid, 0.0, inf)
         ptime_f = proc_time.ravel()
-        cstart_f = cycle_start.ravel()
-        fire_f = fire_time.ravel()
-        kind_f = kind.ravel()
+        polling_f = np.zeros(reps * n, dtype=bool)
+        cstart_f = np.zeros(reps * n, dtype=np.float64)
+        fire_f = np.zeros(reps * n, dtype=np.float64)
+        # The request's response-statistic slot, ``kind * reps + lane``.
+        slot_f = np.zeros(reps * n, dtype=np.int64)
+        # The five uniforms its fire drew: the kind and sharing outcome
+        # are resolved from them at grant time.
+        draws_f = np.zeros((5, reps * n), dtype=np.float64)
+        cache_until = np.zeros((reps, n), dtype=np.float64)
         cache_f = cache_until.ravel()
 
         # Per-lane bus: one in-service slot plus an FCFS ring of size n
         # (at least the lane's own N, so FIFO order is the same).
-        bus_current = np.full(reps, -1, dtype=np.int32)
+        bus_current = np.full(reps, -1, dtype=np.int64)
         bus_until = np.full(reps, inf, dtype=np.float64)
         bus_start = np.zeros(reps, dtype=np.float64)
-        queue_buf = np.zeros((reps, n), dtype=np.int32)
-        q_head = np.zeros(reps, dtype=np.int32)
-        q_len = np.zeros(reps, dtype=np.int32)
+        queue_f = np.zeros(reps * n, dtype=np.int64)
+        q_head = np.zeros(reps, dtype=np.int64)
+        q_len = np.zeros(reps, dtype=np.int64)
 
         mem_until = np.zeros((reps, n_modules), dtype=np.float64)
 
-        # Per-lane measurement machinery.
+        # Per-lane measurement machinery.  A lane gathers no statistic
+        # before its warm-up ends, so they all start (and stay) at zero
+        # until then; ``measured`` doubles as the cycle-time count.
         measuring = np.full(reps, warmup == 0, dtype=bool)
+        n_meas = reps if warmup == 0 else 0
         measure_start = np.zeros(reps, dtype=np.float64)
         completed = np.zeros(reps, dtype=np.int64)
         measured = np.zeros(reps, dtype=np.int64)
         end_time = np.zeros(reps, dtype=np.float64)
-        done = np.zeros(reps, dtype=bool)
 
-        cw_count = np.zeros(reps, dtype=np.int64)
         cw_mean = np.zeros(reps, dtype=np.float64)
-        cw_m2 = np.zeros(reps, dtype=np.float64)
         batch_sums = np.zeros((reps, n_batches), dtype=np.float64)
+        bsum_f = batch_sums.ravel()
         wb_count = np.zeros(reps, dtype=np.int64)
         wb_mean = np.zeros(reps, dtype=np.float64)
         wb_m2 = np.zeros(reps, dtype=np.float64)
         sq_count = np.zeros(reps, dtype=np.int64)
         sq_mean = np.zeros(reps, dtype=np.float64)
-        sq_m2 = np.zeros(reps, dtype=np.float64)
         if_count = np.zeros(reps, dtype=np.int64)
         if_mean = np.zeros(reps, dtype=np.float64)
-        if_m2 = np.zeros(reps, dtype=np.float64)
         resp_count = np.zeros((3, reps), dtype=np.int64)
         resp_mean = np.zeros((3, reps), dtype=np.float64)
         bus_busy = np.zeros(reps, dtype=np.float64)
@@ -607,35 +573,23 @@ class VectorSnoopingBusSimulator:
 
         resp_count_f = resp_count.ravel()
         resp_mean_f = resp_mean.ravel()
+        whole = slice(None)
 
-        def draw_bursts(rows: np.ndarray) -> np.ndarray:
-            """Exponential execution bursts, one per listed lane (a lane
-            with ``tau <= 0`` draws nothing and bursts for 0)."""
-            if all_tau_pos:
-                return -_at(tau, rows) * np.log1p(-lanes.take(rows, 1))
-            bursts = np.zeros(rows.size, dtype=np.float64)
-            pos = tau_pos[rows]
-            if pos.any():
-                rpos = rows[pos]
-                bursts[pos] = (-lane_tau[rpos]
-                               * np.log1p(-lanes.take(rpos, 1)))
-            return bursts
-
-        def draw_holders(rows: np.ndarray) -> np.ndarray:
-            """Snoop-holder samples: the lane's own N uniforms each, as
-            an ``(rows, n)`` bool mask (padded processors never hold)."""
-            if ragged:
-                u = lanes.take_ragged(rows, lane_n[rows], n)
-            else:
-                u = lanes.take(rows, n)
-            return u < _col(hp, rows)
+        def gathering(rows: np.ndarray) -> Any:
+            """Which of ``rows`` gather statistics: all (a full slice),
+            none (None) or a mask."""
+            if n_meas == reps:
+                return whole
+            return measuring[rows] if n_meas else None
 
         def memory_write(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
             """Occupy one random module per row; returns the bus wait."""
             mods_pick = (lanes.take(rows, 1) * n_modules).astype(np.int64)
             start = np.maximum(at, mem_until[rows, mods_pick])
             mem_until[rows, mods_pick] = start + mem_latency
-            mem_busy[rows[measuring[rows]]] += mem_latency
+            sel = gathering(rows)
+            if sel is not None:
+                mem_busy[rows[sel]] += mem_latency
             return start - at
 
         # Initial execution bursts (one per processor per lane), drawn
@@ -666,370 +620,320 @@ class VectorSnoopingBusSimulator:
                     f"{active} replications still live; event state is "
                     "corrupt (overflow guard)")
 
-            pi = np.argmin(proc_time, axis=1)
-            pt = ptime_f[rbase + pi]
-            ebus = bus_until <= pt
-            now_all = np.where(ebus, bus_until, pt)
-            act = np.isfinite(now_all)
-            if not act.any():
+            # Each live lane's next event: its bus completion if that is
+            # finite and no later than its earliest processor timer
+            # (the bus wins ties), else that processor's event.
+            fi = rbase + proc_time.argmin(axis=1)
+            pt = ptime_f[fi]
+            rb = (bus_until <= np.minimum(pt, fmax)).nonzero()[0]
+            rp = (bus_until > pt).nonzero()[0]
+            if not (rb.size or rp.size):
                 raise RuntimeError(
                     "vector DES deadlock: live replications but no "
                     "finite pending event")
 
-            grant_r: list[np.ndarray] = []
-            grant_q: list[np.ndarray] = []
-            grant_t: list[np.ndarray] = []
-            # Requests whose completion time became determined this
-            # tick: (lane, flat lane*n+proc index, completion time).
-            comp_r: list[np.ndarray] = []
-            comp_f: list[np.ndarray] = []
-            comp_t: list[np.ndarray] = []
+            # Bus grants and completions found this tick, as (lane,
+            # processor, time) and (lane, flat lane*n+proc index, time
+            # the cache starts its supply cycle) parts.  Local parts
+            # come first: their caches stay busy through the supply.
+            grants: list[tuple[np.ndarray, ...]] = []
+            comps: list[tuple[np.ndarray, ...]] = []
 
             # -- bus completions (priority over processor events) ------
-            rb = np.flatnonzero(ebus & act)
             if rb.size:
                 tb = bus_until[rb]
-                qb = bus_current[rb]
-                meas_b = measuring[rb]
-                rbm = rb[meas_b]
-                bus_busy[rbm] += (tb[meas_b]
-                                  - np.maximum(bus_start[rbm],
-                                               measure_start[rbm]))
-                bus_tx[rbm] += 1
+                sel = gathering(rb)
+                if sel is not None:
+                    rbm = rb[sel]
+                    bus_busy[rbm] += (tb[sel]
+                                      - np.maximum(bus_start[rbm],
+                                                   measure_start[rbm]))
+                    bus_tx[rbm] += 1
                 # The cache answers the processor one supply cycle
                 # later; that completion has no further interactions,
                 # so it is folded into this tick's completion batch.
-                comp_r.append(rb)
-                comp_f.append(rb * n + qb)
-                comp_t.append(tb + _at(t_supply, rb))
+                bus_done = (rb, rb * n + bus_current[rb], tb)
+                bus_current[rb] = -1
+                bus_until[rb] = inf
                 has_next = q_len[rb] > 0
                 rn = rb[has_next]
                 if rn.size:
-                    nq = queue_buf[rn, q_head[rn]]
-                    q_head[rn] = (q_head[rn] + 1) % n
+                    head = q_head[rn]
+                    grants.append((rn, queue_f[rn * n + head],
+                                   tb[has_next]))
+                    q_head[rn] = (head + 1) % n
                     q_len[rn] -= 1
-                    grant_r.append(rn)
-                    grant_q.append(nq)
-                    grant_t.append(tb[has_next])
-                ridle = rb[~has_next]
-                bus_current[ridle] = -1
-                bus_until[ridle] = inf
 
             # -- processor events --------------------------------------
-            rp = np.flatnonzero(act & ~ebus)
             if rp.size:
-                ip = pi[rp]
+                fp = fi[rp]
                 tp = pt[rp]
-                fp = rp * n + ip
-                st = state_f[fp]
+                # A polling processor retries its local request; every
+                # other one fires a new request.
+                attempt = polling_f[fp]
+                n_poll = np.count_nonzero(attempt)
+                if n_poll:
+                    ix = (~attempt).nonzero()[0]
+                    rf, ff, tf = rp[ix], fp[ix], tp[ix]
+                else:
+                    rf, ff, tf = rp, fp, tp
 
-                # fire: sample the outcome and route the request
-                fire = st == _EXEC
-                rf = rp[fire]
+                # fire: draw the outcome and route the request
                 if rf.size:
-                    ff = fp[fire]
-                    tf = tp[fire]
                     u = lanes.take(rf, 5)
-                    u0, u1 = u[:, 0], u[:, 1]
-                    kf = np.where(u0 < _at(p_local, rf), 0,
-                                  np.where(u0 < _at(p_loc_bc, rf), 1, 2)
-                                  ).astype(np.int8)
-                    kind_f[ff] = kf
+                    p_local, p_loc_bc = fire_k.take(rf, axis=1)
+                    u0 = u[:, 0]
+                    tobus = u0 >= p_local
+                    slot_f[ff] = (np.add(tobus, u0 >= p_loc_bc,
+                                         dtype=np.int64) * reps + rf)
+                    draws_f[:, ff] = u.T
                     fire_f[ff] = tf
 
-                    islocal = kf == 0
-                    rl = rf[islocal]
-                    if rl.size:
-                        fl = ff[islocal]
-                        tl = tf[islocal]
-                        cu = cache_f[fl]
-                        free = tl + _EPS >= cu
-                        rs = rl[free]
-                        if rs.size:
-                            fsv = fl[free]
-                            _wadd(if_count, if_mean, if_m2,
-                                  rs[measuring[rs]], 0.0)
-                            start = np.maximum(tl[free], cu[free])
-                            cache_f[fsv] = start + _at(t_supply, rs)
-                            comp_r.append(rs)
-                            comp_f.append(fsv)
-                            comp_t.append(start + _at(t_supply, rs))
-                        rw = rl[~free]
-                        if rw.size:
-                            fw = fl[~free]
-                            state_f[fw] = _POLL
-                            ptime_f[fw] = cu[~free]
-
-                    tobus = ~islocal
-                    rq = rf[tobus]
-                    if rq.size:
-                        fq = ff[tobus]
-                        tq = tf[tobus]
-                        # Resolve the sharing flags only for the bus
-                        # subset; local requests never read them.
-                        kq = kf[tobus]
-                        u1q = u1[tobus]
-                        isbc = kq == 1
-                        shared = np.where(
-                            isbc, u1q < _at(bc_shared_frac, rq), False)
-                        sr = ~isbc & (u1q < _at(sr_frac, rq))
-                        sw = ~isbc & ~sr & (u1q < _at(srsw_frac, rq))
-                        shared |= sr | sw
-                        csp = np.where(sr, _at(csupply_sro, rq),
-                                       np.where(sw, _at(csupply_sw, rq),
-                                                0.0))
-                        csupf = shared & ~isbc & (u[tobus, 2] < csp)
-                        supwbf = csupf & (u[tobus, 3] < _at(wb_csupply, rq))
-                        reqwbf = ~isbc & (u[tobus, 4] < _at(p_reqwb_rr, rq))
-                        f_shared.ravel()[fq] = shared
-                        f_csup.ravel()[fq] = csupf
-                        f_supwb.ravel()[fq] = supwbf
-                        f_reqwb.ravel()[fq] = reqwbf
-                        seen = (q_len[rq]
-                                + (bus_current[rq] >= 0)).astype(np.float64)
-                        mq = measuring[rq]
-                        _wadd(sq_count, sq_mean, sq_m2, rq[mq], seen[mq])
-                        state_f[fq] = _BUSY
+                    iq = tobus.nonzero()[0]
+                    if iq.size:
+                        rq, fq, tq = rf[iq], ff[iq], tf[iq]
                         ptime_f[fq] = inf
-                        idle = bus_current[rq] < 0
-                        if idle.any():
-                            grant_r.append(rq[idle])
-                            grant_q.append((fq[idle] % n).astype(np.int32))
-                            grant_t.append(tq[idle])
-                        rpush = rq[~idle]
-                        if rpush.size:
-                            slot = (q_head[rpush] + q_len[rpush]) % n
-                            queue_buf[rpush, slot] = fq[~idle] % n
-                            q_len[rpush] += 1
+                        ql = q_len[rq]
+                        busy = bus_current[rq] >= 0
+                        sel = gathering(rq)
+                        if sel is not None:
+                            _mean_add(sq_count, sq_mean, rq[sel],
+                                      (ql + busy)[sel])
+                        jq = fq - rq * n
+                        n_busy = np.count_nonzero(busy)
+                        if n_busy < busy.size:
+                            ig = (~busy).nonzero()[0]
+                            grants.append((rq[ig], jq[ig], tq[ig]))
+                        if n_busy:
+                            ib = busy.nonzero()[0]
+                            rpush, qlb = rq[ib], ql[ib]
+                            queue_f[rpush * n + (q_head[rpush] + qlb) % n] \
+                                = jq[ib]
+                            q_len[rpush] = qlb + 1
+                    if n_poll:
+                        attempt[ix] = ~tobus
+                    else:
+                        attempt = ~tobus
 
-                # poll: retry a local request against the snoop horizon
-                poll = st == _POLL
-                rv = rp[poll]
-                if rv.size:
-                    fv = fp[poll]
-                    tv = tp[poll]
-                    cu = cache_f[fv]
-                    again = tv + _EPS < cu
-                    fa = fv[again]
-                    if fa.size:
-                        ptime_f[fa] = cu[again]
-                    rs = rv[~again]
-                    if rs.size:
-                        fsv = fv[~again]
-                        ts = tv[~again]
-                        waits = ts - fire_f[fsv]
-                        mv = measuring[rs]
-                        _wadd(if_count, if_mean, if_m2, rs[mv], waits[mv])
-                        start = np.maximum(ts, cache_f[fsv])
-                        cache_f[fsv] = start + _at(t_supply, rs)
-                        comp_r.append(rs)
-                        comp_f.append(fsv)
-                        comp_t.append(start + _at(t_supply, rs))
+                # Local requests (new ones and retries) against the
+                # cache's snoop horizon: served now, or polled again
+                # when the horizon passes.
+                il = attempt.nonzero()[0]
+                if il.size:
+                    rl, fl, tl = rp[il], fp[il], tp[il]
+                    cu = cache_f[fl]
+                    free = tl + _EPS >= cu
+                    if np.count_nonzero(free) < free.size:
+                        iw = (~free).nonzero()[0]
+                        fw = fl[iw]
+                        polling_f[fw] = True
+                        ptime_f[fw] = cu[iw]
+                        iv = free.nonzero()[0]
+                        rl, fl, tl, cu = rl[iv], fl[iv], tl[iv], cu[iv]
+                    if rl.size:
+                        if n_poll:
+                            polling_f[fl] = False
+                        sel = gathering(rl)
+                        if sel is not None:
+                            _mean_add(if_count, if_mean, rl[sel],
+                                      (tl - fire_f[fl])[sel])
+                        comps.append((rl, fl, np.maximum(tl, cu)))
 
             # -- bus grants: compute service, occupy memory, snoop -----
             # Grants run before the completion batch, mirroring the
             # scalar bus (Bus.complete starts the next transaction
             # before the finished request's callback runs); a lane
             # stopped by a completion below then freezes over any bus
-            # service granted this tick.
-            if grant_r:
-                r_g = (grant_r[0] if len(grant_r) == 1
-                       else np.concatenate(grant_r))
-                q_g = (grant_q[0] if len(grant_q) == 1
-                       else np.concatenate(grant_q))
-                t_g = (grant_t[0] if len(grant_t) == 1
-                       else np.concatenate(grant_t))
+            # service granted this tick.  A lane has at most one grant
+            # per tick, so broadcasts and remote reads share one pass.
+            if grants:
+                if len(grants) == 1:
+                    r_g, q_g, t_g = grants[0]
+                else:
+                    r_g, q_g, t_g = (np.concatenate(part)
+                                     for part in zip(*grants))
                 g_f = r_g * n + q_g
-                mg = measuring[r_g]
-                _wadd(wb_count, wb_mean, wb_m2, r_g[mg],
-                      (t_g - fire_f[g_f])[mg])
-                dur = np.empty(r_g.size, dtype=np.float64)
-
-                isbc = kind_f[g_f] == 1
-                rb2 = r_g[isbc]
-                if rb2.size:
-                    qb2 = q_g[isbc]
-                    tb2 = t_g[isbc]
-                    durb = np.full(rb2.size, _at(t_bc, rb2))
-                    if all_bc_mem:
-                        durb += memory_write(rb2, tb2)
-                    elif any_bc_mem:
-                        wm = bc_mem[rb2]
-                        if wm.any():
-                            durb[wm] += memory_write(rb2[wm], tb2[wm])
-                    if any_multi:
-                        shb = f_shared.ravel()[g_f[isbc]]
-                        if not all_multi:
-                            shb &= multi[rb2]
-                        rsn = rb2[shb]
-                        if rsn.size:
-                            hold = draw_holders(rsn)
-                            hold[np.arange(rsn.size), qb2[shb]] = False
-                            cu = cache_until[rsn]
-                            cache_until[rsn] = np.where(
-                                hold,
-                                np.maximum(cu, tb2[shb][:, None])
-                                + SNOOP_ACTION_CYCLES,
-                                cu)
-                    dur[isbc] = durb
-
+                sel = gathering(r_g)
+                if sel is not None:
+                    _wadd(wb_count, wb_mean, wb_m2, r_g[sel],
+                          (t_g - fire_f[g_f])[sel])
+                u0, u1, u2, u3, u4 = draws_f.take(g_f, axis=1)
+                (p_loc_bc, bc_shared_frac, sr_frac, srsw_frac, csupply_sro,
+                 csupply_sw, wb_csupply, p_reqwb_rr, t_bc, cache_supply,
+                 base_read, t_block, hp) = grant_k.take(r_g, axis=1)
+                isbc = u0 < p_loc_bc
                 isrr = ~isbc
-                rr2 = r_g[isrr]
-                if rr2.size:
-                    q2 = q_g[isrr]
-                    t2 = t_g[isrr]
-                    rr_f = g_f[isrr]
-                    supwb = f_supwb.ravel()[rr_f]
-                    reqwb = f_reqwb.ravel()[rr_f]
-                    direct = supwb & _at(c2c, rr2)
-                    durr = np.where(direct, _at(cache_supply, rr2),
-                                    _at(base_read, rr2))
-                    nd = ~direct
-                    if any_contention:
-                        ndc = nd & contention[rr2]
-                        if ndc.any():
-                            durr[ndc] += memory_write(rr2[ndc], t2[ndc])
-                    flush = nd & supwb
-                    if flush.any():
-                        durr[flush] += _at(t_block, rr2[flush])
-                        memory_write(rr2[flush], t2[flush])
-                    if reqwb.any():
-                        durr[reqwb] += _at(t_block, rr2[reqwb])
-                        memory_write(rr2[reqwb], t2[reqwb])
-                    if any_multi:
-                        sh2 = f_shared.ravel()[rr_f]
-                        if not all_multi:
-                            sh2 &= multi[rr2]
-                        rs2 = rr2[sh2]
-                        if rs2.size:
-                            qs = q2[sh2]
-                            ts = t2[sh2]
-                            rows = np.arange(rs2.size)
-                            hold = draw_holders(rs2)
-                            hold[rows, qs] = False
-                            anyh = hold.any(axis=1)
-                            firsth = hold.argmax(axis=1)
-                            cs = f_csup.ravel()[rr_f[sh2]]
-                            react = hold
-                            skip = cs & anyh
-                            react[rows[skip], firsth[skip]] = False
-                            cu = cache_until[rs2]
-                            cache_until[rs2] = np.where(
-                                react,
-                                np.maximum(cu, ts[:, None])
-                                + SNOOP_ACTION_CYCLES,
-                                cu)
-                            # The supplier (first sampled holder, else a
-                            # uniformly random other cache) is tied up
-                            # for the whole transaction.
-                            sup = np.full(rs2.size, -1, dtype=np.int64)
-                            sup[skip] = firsth[skip]
-                            fb = cs & ~anyh
-                            if fb.any():
-                                rfb = rs2[fb]
+                # Sharing: a broadcast's shared line, else a remote
+                # read's shared-read or shared-write miss (whose cache
+                # supply probability depends on which).
+                shared = u1 < np.where(isbc, bc_shared_frac, srsw_frac)
+                csup = shared & isrr & (
+                    u2 < np.where(u1 < sr_frac, csupply_sro, csupply_sw))
+                supwb = csup & (u3 < wb_csupply)
+                reqwb = isrr & (u4 < p_reqwb_rr)
+                direct = supwb & c2c[r_g] if any_c2c else None
+                dur = np.where(isbc, t_bc,
+                               base_read if direct is None
+                               else np.where(direct, cache_supply, base_read))
+                flush = supwb if direct is None else supwb & ~direct
+                # Memory writes in rounds, each lane's k-th write in round
+                # k so a lane keeps its own order: the broadcast or
+                # contended read (whose wait stalls the bus), then the
+                # supplier's flush, then the requester's write-back.
+                writes = np.add(flush, reqwb, dtype=np.int64)
+                stall = None
+                if any_bc_mem:
+                    stall = isbc & bc_mem[r_g]
+                if any_contention:
+                    ndc = isrr & contention[r_g]
+                    if direct is not None:
+                        ndc &= ~direct
+                    stall = ndc if stall is None else stall | ndc
+                if stall is not None:
+                    writes += stall
+                rnd = 1
+                while True:
+                    w = writes >= rnd
+                    if not np.count_nonzero(w):
+                        break
+                    wait = memory_write(r_g[w], t_g[w])
+                    if rnd == 1 and stall is not None \
+                            and np.count_nonzero(stall):
+                        dur[stall] += wait[stall[w]]
+                    rnd += 1
+                if np.count_nonzero(flush):
+                    dur += flush * t_block
+                dur += reqwb * t_block
+
+                if any_multi:
+                    shm = shared if all_multi else shared & multi[r_g]
+                    k2 = np.count_nonzero(shm)
+                    if k2:
+                        rs2, qs, ts2 = r_g[shm], q_g[shm], t_g[shm]
+                        hp2 = hp[shm][:, None]
+                        if ragged:
+                            hold = lanes.take_ragged(rs2, lane_n[rs2], n) < hp2
+                            hold &= valid[rs2]
+                        else:
+                            hold = lanes.take(rs2, n) < hp2
+                        rows = rows_of[:k2]
+                        hold[rows, qs] = False
+                        first = hold.argmax(axis=1)
+                        anyh = hold[rows, first]
+                        cs = csup[shm]
+                        # A cache-supplied read ties up its supplier (the
+                        # first sampled holder, else a uniformly random
+                        # other cache) for the whole transaction instead
+                        # of a snoop action.
+                        hold[rows, first] = anyh > cs
+                        cu = cache_until[rs2]
+                        cache_until[rs2] = np.where(
+                            hold,
+                            np.maximum(cu, ts2[:, None]) + SNOOP_ACTION_CYCLES,
+                            cu)
+                        if np.count_nonzero(cs):
+                            rsup, sup, qsup = rs2[cs], first[cs], qs[cs]
+                            fb = ~anyh[cs]
+                            if np.count_nonzero(fb):
+                                rfb = rsup[fb]
                                 pick = (lanes.take(rfb, 1)
-                                        * _at(n_less1, rfb)
-                                        ).astype(np.int64)
-                                sup[fb] = pick + (pick >= qs[fb])
-                            have = sup >= 0
-                            rsup = rs2[have]
-                            if rsup.size:
-                                supc = sup[have]
-                                cu2 = cache_until[rsup, supc]
-                                cache_until[rsup, supc] = (
-                                    np.maximum(cu2, ts[have])
-                                    + durr[sh2][have])
-                    dur[isrr] = durr
+                                        * n_less1[rfb]).astype(np.int64)
+                                sup[fb] = pick + (pick >= qsup[fb])
+                            sf = rsup * n + sup
+                            cache_f[sf] = (np.maximum(cache_f[sf], ts2[cs])
+                                           + dur[shm][cs])
 
                 bus_current[r_g] = q_g
                 bus_start[r_g] = t_g
                 bus_until[r_g] = t_g + dur
 
             # -- completions: cycle stats, warm-up / stop, next burst --
-            if comp_r:
-                rc = (comp_r[0] if len(comp_r) == 1
-                      else np.concatenate(comp_r))
-                fc = (comp_f[0] if len(comp_f) == 1
-                      else np.concatenate(comp_f))
-                tc = (comp_t[0] if len(comp_t) == 1
-                      else np.concatenate(comp_t))
-                cyc = tc - cstart_f[fc]
-                meas = measuring[rc]
-                rm = rc[meas]
-                if rm.size:
-                    cm = cyc[meas]
-                    _wadd(cw_count, cw_mean, cw_m2, rm, cm)
-                    if batch_take > 0:
-                        idx = measured[rm]
-                        inb = idx < batch_take
-                        batch_sums[rm[inb], idx[inb] // batch_size] \
-                            += cm[inb]
-                    fm = fc[meas]
-                    resp = np.maximum(
-                        tc[meas] - fire_f[fm] - _at(t_supply, rm), 0.0)
-                    # One sample per (kind, lane) pair, so a single
-                    # flat-indexed Welford step updates all three kinds.
-                    rix = kind_f[fm].astype(np.int64) * reps + rm
-                    resp_count_f[rix] += 1
-                    delta = resp - resp_mean_f[rix]
-                    resp_mean_f[rix] += delta / resp_count_f[rix]
-                    measured[rm] += 1
-                completed[rc] += 1
+            if rb.size:
+                comps.append(bus_done)
+            if comps:
+                if len(comps) == 1:
+                    rc, fc, xc = comps[0]
+                else:
+                    rc, fc, xc = (np.concatenate(part)
+                                  for part in zip(*comps))
+                t_supply, tau = comp_k.take(rc, axis=1)
+                tc = xc + t_supply
+                n_local = rc.size - rb.size
+                if n_local:
+                    cache_f[fc[:n_local]] = tc[:n_local]
+                sel = gathering(rc)
+                stop = None
+                if sel is not None:
+                    rm, fm, tm = rc[sel], fc[sel], tc[sel]
+                    cyc = tm - cstart_f[fm]
+                    idx = measured[rm]
+                    count = idx + 1
+                    measured[rm] = count
+                    mean = cw_mean[rm]
+                    cw_mean[rm] = mean + (cyc - mean) / count
+                    if batch_take:
+                        bix = rm * n_batches + idx // batch_size
+                        if batch_take < target:
+                            inb = idx < batch_take
+                            bix, cyc = bix[inb], cyc[inb]
+                        bsum_f[bix] += cyc
+                    # One sample per (kind, lane) slot, so a single
+                    # flat-indexed step updates all three kinds.
+                    _mean_add(resp_count_f, resp_mean_f, slot_f[fm],
+                              np.maximum(tm - fire_f[fm] - t_supply[sel],
+                                         0.0))
+                    hit = count >= target
+                    n_stop = np.count_nonzero(hit)
+                    if n_stop:
+                        rstop = rm[hit]
+                        end_time[rstop] = tm[hit]
+                        proc_time[rstop] = inf
+                        bus_until[rstop] = inf
+                        active -= n_stop
+                        if sel is whole:
+                            stop = hit
+                        else:
+                            stop = np.zeros(rc.size, dtype=bool)
+                            stop[sel] = hit
 
-                stop = np.zeros(rc.size, dtype=bool)
-                stop[meas] = measured[rm] >= target
-                rstop = rc[stop]
-                if rstop.size:
-                    done[rstop] = True
-                    end_time[rstop] = tc[stop]
-                    proc_time[rstop, :] = inf
-                    bus_until[rstop] = inf
-                    active -= rstop.size
-
-                warm = (~meas) & (completed[rc] >= warmup)
-                rw = rc[warm]
-                if rw.size:
-                    measuring[rw] = True
-                    measure_start[rw] = tc[warm]
-                    cw_count[rw] = 0
-                    cw_mean[rw] = 0.0
-                    cw_m2[rw] = 0.0
-                    batch_sums[rw] = 0.0
-                    wb_count[rw] = 0
-                    wb_mean[rw] = 0.0
-                    wb_m2[rw] = 0.0
-                    sq_count[rw] = 0
-                    sq_mean[rw] = 0.0
-                    sq_m2[rw] = 0.0
-                    if_count[rw] = 0
-                    if_mean[rw] = 0.0
-                    if_m2[rw] = 0.0
-                    resp_count[:, rw] = 0
-                    resp_mean[:, rw] = 0.0
-                    bus_busy[rw] = 0.0
-                    bus_tx[rw] = 0
-                    mem_busy[rw] = 0.0
-                    busy_cycles[rw] = 0.0
-                    measured[rw] = 0
+                if n_meas < reps:
+                    done_c = completed[rc] + 1
+                    completed[rc] = done_c
+                    warm = done_c >= warmup
+                    if sel is not None:
+                        warm &= ~sel
+                    n_warm = np.count_nonzero(warm)
+                    if n_warm:
+                        rw = rc[warm]
+                        measuring[rw] = True
+                        measure_start[rw] = tc[warm]
+                        n_meas += n_warm
 
                 # Next burst; the scalar engine draws one even for the
                 # lane that just stopped (the event never runs but its
                 # burst lands in busy_cycles), so the vector engine
-                # does too.
-                burst = draw_bursts(rc)
-                mnow = measuring[rc]
-                busy_cycles[rc[mnow]] += burst[mnow]
-                go = ~stop
-                rgo = rc[go]
-                if rgo.size:
-                    fgo = fc[go]
-                    cstart_f[fgo] = tc[go]
-                    state_f[fgo] = _EXEC
-                    ptime_f[fgo] = tc[go] + burst[go]
+                # does too.  A lane with tau <= 0 draws nothing.
+                if all_tau_pos:
+                    burst = -tau * np.log1p(-lanes.take(rc, 1))
+                else:
+                    burst = np.zeros(rc.size, dtype=np.float64)
+                    pos = tau > 0.0
+                    if pos.any():
+                        burst[pos] = -tau[pos] * np.log1p(
+                            -lanes.take(rc[pos], 1))
+                sel = gathering(rc)
+                if sel is not None:
+                    busy_cycles[rc[sel]] += burst[sel]
+                if stop is not None:
+                    go = ~stop
+                    fc, tc, burst = fc[go], tc[go], burst[go]
+                cstart_f[fc] = tc
+                ptime_f[fc] = tc + burst
 
+        self.ticks = tick
         state = dict(
             measure_start=measure_start, end_time=end_time,
-            cw_count=cw_count, cw_mean=cw_mean, batch_sums=batch_sums,
+            cw_count=measured, cw_mean=cw_mean, batch_sums=batch_sums,
             wb_count=wb_count, wb_mean=wb_mean, wb_m2=wb_m2,
             sq_count=sq_count, sq_mean=sq_mean,
             if_count=if_count, if_mean=if_mean,
