@@ -27,6 +27,11 @@ Three claims are checked here:
    alternating pairs must keep at least ``PACK_FLOOR`` times the
    one-at-a-time throughput.
 
+The scaling and packed legs also record the lockstep tick count and
+the wall time per tick: a run costs ticks x (cost of one tick), the
+tick count is fixed by the model, so the per-tick cost is what an
+engine change can move.
+
 The engines are *statistically* equivalent, not bit-equal (different
 uniform streams per seed; ``repro verify --tier full`` owns that
 oracle), so this bench records the aggregate speedup gap per combo as
@@ -57,7 +62,7 @@ from conftest import once  # noqa: E402
 from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SnoopingBusSimulator
-from repro.sim.vector import simulate_many, simulate_pack
+from repro.sim.vector import VectorSnoopingBusSimulator, simulate_many
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -112,6 +117,11 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
+def _run_ticks(simulator):
+    """Run a lockstep simulator; returns ``(results, ticks)``."""
+    return simulator.run(), simulator.ticks
+
+
 def _merge_json(path: Path, record: dict) -> None:
     existing = {}
     if path.exists():
@@ -138,9 +148,9 @@ def test_reps_scaling(benchmark, emit, output_dir):
         _, scalar_s = _timed(lambda: SnoopingBusSimulator(_config(spec)).run())
         rows = []
         for reps in REPS_SWEEP:
-            _, vector_s = _timed(lambda: simulate_many(_config(spec),
-                                                       reps=reps))
-            rows.append((reps, vector_s))
+            (_, ticks), vector_s = _timed(lambda: _run_ticks(
+                VectorSnoopingBusSimulator(_config(spec), reps)))
+            rows.append((reps, vector_s, ticks))
         return scalar_s, rows
 
     scalar_s, rows = once(benchmark, run_sweep)
@@ -152,15 +162,17 @@ def test_reps_scaling(benchmark, emit, output_dir):
               "warmup_requests": WARMUP, "measured_requests": MEASURED,
               "scalar_s_per_rep": scalar_s, "quick": QUICK, "widths": {}}
     ratios = {}
-    for reps, vector_s in rows:
+    for reps, vector_s, ticks in rows:
         per_rep = vector_s / reps
         ratios[reps] = scalar_s / per_rep
         lines.append(f"  reps={reps:4d}: {vector_s * 1e3:8.1f} ms total, "
                      f"{per_rep * 1e3:7.2f} ms/replication "
-                     f"({ratios[reps]:5.2f}x scalar)")
+                     f"({ratios[reps]:5.2f}x scalar), {ticks} ticks at "
+                     f"{vector_s / ticks * 1e6:6.1f} us/tick")
         record["widths"][str(reps)] = {
             "total_s": vector_s, "s_per_rep": per_rep,
-            "throughput_x": ratios[reps]}
+            "throughput_x": ratios[reps], "ticks": ticks,
+            "us_per_tick": vector_s / ticks * 1e6}
     emit("sim.txt", "\n".join(lines) + "\n")
     _write_json(output_dir, {"scaling": record})
     widths = sorted(ratios)
@@ -244,11 +256,14 @@ def test_packed_sweep_cells(benchmark, emit, output_dir):
     """A 192-lane pack beats the same cells one at a time, same rows."""
     configs = _pack_configs()
     reps = [PACK_REPS] * len(configs)
+    ticks = 0
 
     def run_pairs():
+        nonlocal ticks
         pairs = []
         for _ in range(PACK_REPEATS):
-            packed, packed_s = _timed(lambda: simulate_pack(configs, reps))
+            (packed, ticks), packed_s = _timed(lambda: _run_ticks(
+                VectorSnoopingBusSimulator.pack(configs, reps)))
             alone, alone_s = _timed(lambda: [
                 simulate_many(config, reps=PACK_REPS)
                 for config in configs])
@@ -259,6 +274,7 @@ def test_packed_sweep_cells(benchmark, emit, output_dir):
 
     pairs = once(benchmark, run_pairs)
     ratios = sorted(alone_s / packed_s for packed_s, alone_s in pairs)
+    tick_us = sorted(packed_s / ticks * 1e6 for packed_s, _ in pairs)
     lanes = len(configs) * PACK_REPS
     requests = lanes * PACK_MEASURED
     lines = [f"E17 packed sweep-des cells ({len(configs)} cells x "
@@ -273,6 +289,9 @@ def test_packed_sweep_cells(benchmark, emit, output_dir):
                  f"{ratios[0]:.2f}x, median "
                  f"{statistics.median(ratios):.2f}x, best {ratios[-1]:.2f}x "
                  f"(median floor {PACK_FLOOR}x); rows bit-identical")
+    lines.append(f"  packed run: {ticks} ticks, median "
+                 f"{statistics.median(tick_us):.1f} us/tick "
+                 f"({tick_us[0]:.1f}-{tick_us[-1]:.1f})")
     emit("sim.txt", "\n".join(lines) + "\n")
     _write_json(output_dir, {"packed": {
         "cells": len(configs), "reps": PACK_REPS, "lanes": lanes,
@@ -282,7 +301,10 @@ def test_packed_sweep_cells(benchmark, emit, output_dir):
         "throughput_x": {"min": ratios[0],
                          "median": statistics.median(ratios),
                          "max": ratios[-1]},
-        "floor": PACK_FLOOR, "rows_identical": True}})
+        "floor": PACK_FLOOR, "rows_identical": True, "ticks": ticks,
+        "us_per_tick": {"min": tick_us[0],
+                        "median": statistics.median(tick_us),
+                        "max": tick_us[-1]}}})
     median = statistics.median(ratios)
     assert median >= PACK_FLOOR, (
         f"packed run {median:.2f}x the one-at-a-time throughput "

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link checker for README.md and docs/*.md (stdlib only).
+"""Documentation checker for README.md and docs/*.md (stdlib only).
 
 Checks every inline Markdown link (``[text](target)``) in the tracked
 documentation set:
@@ -12,14 +12,20 @@ documentation set:
 * **external links** (http/https/mailto) are recognised but not
   fetched -- CI must not depend on the network.
 
-Exit code 0 when every link resolves, 1 otherwise (one line per broken
-link).  Run from the repository root::
+It also checks that every E17 figure ``docs/performance.md`` quotes
+(the vector-DES throughput ratios and tick costs) matches the
+committed ``benchmarks/BENCH_sim.json`` it was read from, so a bench
+rerun that moves a figure fails here until the prose follows.
+
+Exit code 0 when every link resolves and every figure matches, 1
+otherwise (one line per problem).  Run from the repository root::
 
     python scripts/check_docs.py
 """
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -93,19 +99,71 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def e17_figures(bench: dict) -> list[tuple[str, list[str]]]:
+    """Each E17 sentence of docs/performance.md as a pattern (a space
+    matches any whitespace run) with one group per figure, and the
+    figures ``BENCH_sim.json`` says it must quote."""
+    corpus, scaling, packed = (bench["corpus"], bench["scaling"],
+                               bench["packed"])
+    combos = [combo["throughput_x"] for combo in corpus["combos"].values()]
+    widths = scaling["widths"]
+    ratio = packed["throughput_x"]
+    tick_us = packed["us_per_tick"]
+    return [
+        (r"\*\*([\d.]+)x replication throughput\*\*",
+         [f"{corpus['throughput_x']:.2f}"]),
+        (r"([\d.]+)–([\d.]+)x per combination",
+         [f"{min(combos):.2f}", f"{max(combos):.2f}"]),
+        (r"\(([\d.]+)x at 32 reps → ([\d.]+)x at 512",
+         [f"{widths['32']['throughput_x']:.2f}",
+          f"{widths['512']['throughput_x']:.2f}"]),
+        (r"at a median \*\*([\d.]+)x\*\*", [f"{ratio['median']:.2f}"]),
+        (r"\(([\d.]+)–([\d.]+)x over five alternating pairs",
+         [f"{ratio['min']:.2f}", f"{ratio['max']:.2f}"]),
+        (r"takes ([\d,]+) ticks at a median ([\d.]+) µs per tick",
+         [f"{packed['ticks']:,}", f"{tick_us['median']:.0f}"]),
+        (r"([\d.]+) µs per tick at 32 lanes and ([\d.]+) µs at 512",
+         [f"{widths['32']['us_per_tick']:.0f}",
+          f"{widths['512']['us_per_tick']:.0f}"]),
+    ]
+
+
+def check_figures(path: Path, bench_path: Path) -> list[str]:
+    """Return one error string per E17 figure in ``path`` that is
+    missing or differs from ``bench_path``."""
+    rel = path.relative_to(ROOT)
+    text = path.read_text(encoding="utf-8")
+    errors: list[str] = []
+    for pattern, expected in e17_figures(json.loads(bench_path.read_text())):
+        match = re.search(pattern.replace(" ", r"\s+"), text)
+        if match is None:
+            errors.append(f"{rel}: E17 figure missing -> /{pattern}/ "
+                          f"(expected {', '.join(expected)})")
+        elif list(match.groups()) != expected:
+            errors.append(f"{rel}: E17 figure drifted -> quotes "
+                          f"{', '.join(match.groups())}, "
+                          f"{bench_path.name} gives {', '.join(expected)}")
+    return errors
+
+
 def main() -> int:
     """Check the documentation set; print failures; return exit code."""
     errors: list[str] = []
     for path in doc_files():
         errors.extend(check_file(path))
+    links = len(errors)
+    errors.extend(check_figures(ROOT / "docs" / "performance.md",
+                                ROOT / "benchmarks" / "BENCH_sim.json"))
     for line in errors:
         print(line)
     checked = len(doc_files())
     if errors:
-        print(f"check_docs: {len(errors)} broken link(s) "
+        print(f"check_docs: {links} broken link(s) and "
+              f"{len(errors) - links} drifted figure(s) "
               f"across {checked} files")
         return 1
-    print(f"check_docs: all links ok across {checked} files")
+    print(f"check_docs: all links and E17 figures ok across "
+          f"{checked} files")
     return 0
 
 

@@ -11,11 +11,14 @@ accumulators are ``(lanes,)`` (or ``(lanes, N)``) arrays, and every
 -- the minimum of its bus-completion time and its per-processor timers,
 with the bus winning ties exactly like the scalar engine's priority
 classes.  One tick therefore costs a fixed number of small vectorized
-NumPy operations regardless of how many lanes ride along, which is
-where the >=10x throughput over running
+NumPy operations whose cost grows slowly with the lane count (E17's
+``BENCH_sim.json``: 278 us per tick at 32 lanes, 583 us at 512), which
+is where the >=10x throughput over running
 :class:`~repro.sim.system.SnoopingBusSimulator` once per seed comes
 from, and why packing many cells into one run pays (see
-``benchmarks/bench_sim.py``).
+``benchmarks/bench_sim.py``).  The tick count is fixed by the model,
+so the loop is written to issue as few NumPy calls per tick as it
+can.
 
 Each cell's model constants -- the reference-mix probabilities and
 fractions, ``tau``, ``t_bc``, ``t_supply``, the block/read cycle
