@@ -35,6 +35,15 @@ from repro.sim.config import SimulationConfig
 from repro.sim.system import simulate
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
+#: ``--requests`` help for the DES-running subcommands.  The warm-up is
+#: not scaled with ``--requests``: at small request counts it is most of
+#: what a run (or each vector-DES replication) simulates.
+_REQUESTS_HELP = (
+    "measured requests per simulation run (per replication with the "
+    "vector engine); each run first simulates a fixed "
+    f"{SimulationConfig.warmup_requests:,} unmeasured warm-up requests "
+    "(SimulationConfig.warmup_requests), whatever this is")
+
 _SHARING = {
     "1": SharingLevel.ONE_PERCENT,
     "5": SharingLevel.FIVE_PERCENT,
@@ -517,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_options(p_sim)
     p_sim.add_argument("-n", type=int, nargs="+", default=[10])
     p_sim.add_argument("--seed", type=int, default=2024)
-    p_sim.add_argument("--requests", type=int, default=50_000)
+    p_sim.add_argument("--requests", type=int, default=50_000,
+                       help=_REQUESTS_HELP)
     p_sim.add_argument("--engine", choices=["scalar", "vector"],
                        default="scalar",
                        help="DES backend: the scalar reference engine "
@@ -573,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[1, 2, 4, 8, 16, 32])
     p_grid.add_argument("--simulate", action="store_true",
                         help="add detailed-simulation rows per cell")
-    p_grid.add_argument("--requests", type=int, default=40_000)
+    p_grid.add_argument("--requests", type=int, default=40_000,
+                        help=_REQUESTS_HELP)
     p_grid.add_argument("--json", action="store_true")
     p_grid.add_argument("--output", "-o", help="write to a file")
     p_grid.add_argument("--jobs", type=_positive_int, default=1,
@@ -611,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[1, 2, 4, 8, 16, 32])
     p_sweep.add_argument("--simulate", action="store_true",
                          help="add detailed-simulation rows per cell")
-    p_sweep.add_argument("--requests", type=int, default=40_000)
+    p_sweep.add_argument("--requests", type=int, default=40_000,
+                         help=_REQUESTS_HELP)
     p_sweep.add_argument("--seed", type=int, default=1234,
                          help="simulation seed base")
     p_sweep.add_argument("--sim-engine", choices=["scalar", "vector"],
