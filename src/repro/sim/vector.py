@@ -658,14 +658,14 @@ class VectorSnoopingBusSimulator:
                 bus_done = (rb, rb * n + bus_current[rb], tb)
                 bus_current[rb] = -1
                 bus_until[rb] = inf
-                has_next = q_len[rb] > 0
-                rn = rb[has_next]
-                if rn.size:
+                ql = q_len[rb]
+                ih = ql.nonzero()[0]
+                if ih.size:
+                    rn = rb[ih]
                     head = q_head[rn]
-                    grants.append((rn, queue_f[rn * n + head],
-                                   tb[has_next]))
+                    grants.append((rn, queue_f[rn * n + head], tb[ih]))
                     q_head[rn] = (head + 1) % n
-                    q_len[rn] -= 1
+                    q_len[rn] = ql[ih] - 1
 
             # -- processor events --------------------------------------
             if rp.size:
@@ -809,11 +809,12 @@ class VectorSnoopingBusSimulator:
                 dur += reqwb * t_block
 
                 if any_multi:
-                    shm = shared if all_multi else shared & multi[r_g]
-                    k2 = np.count_nonzero(shm)
+                    ish = (shared if all_multi
+                           else shared & multi[r_g]).nonzero()[0]
+                    k2 = ish.size
                     if k2:
-                        rs2, qs, ts2 = r_g[shm], q_g[shm], t_g[shm]
-                        hp2 = hp[shm][:, None]
+                        rs2, qs, ts2 = r_g[ish], q_g[ish], t_g[ish]
+                        hp2 = hp[ish][:, None]
                         if ragged:
                             hold = lanes.take_ragged(rs2, lane_n[rs2], n) < hp2
                             hold &= valid[rs2]
@@ -823,7 +824,7 @@ class VectorSnoopingBusSimulator:
                         hold[rows, qs] = False
                         first = hold.argmax(axis=1)
                         anyh = hold[rows, first]
-                        cs = csup[shm]
+                        cs = csup[ish]
                         # A cache-supplied read ties up its supplier (the
                         # first sampled holder, else a uniformly random
                         # other cache) for the whole transaction instead
@@ -834,17 +835,18 @@ class VectorSnoopingBusSimulator:
                             hold,
                             np.maximum(cu, ts2[:, None]) + SNOOP_ACTION_CYCLES,
                             cu)
-                        if np.count_nonzero(cs):
-                            rsup, sup, qsup = rs2[cs], first[cs], qs[cs]
-                            fb = ~anyh[cs]
+                        ics = cs.nonzero()[0]
+                        if ics.size:
+                            rsup, sup = rs2[ics], first[ics]
+                            fb = ~anyh[ics]
                             if np.count_nonzero(fb):
                                 rfb = rsup[fb]
                                 pick = (lanes.take(rfb, 1)
                                         * n_less1[rfb]).astype(np.int64)
-                                sup[fb] = pick + (pick >= qsup[fb])
+                                sup[fb] = pick + (pick >= qs[ics][fb])
                             sf = rsup * n + sup
-                            cache_f[sf] = (np.maximum(cache_f[sf], ts2[cs])
-                                           + dur[shm][cs])
+                            cache_f[sf] = (np.maximum(cache_f[sf], ts2[ics])
+                                           + dur[ish[ics]])
 
                 bus_current[r_g] = q_g
                 bus_start[r_g] = t_g
