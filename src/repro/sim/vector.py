@@ -12,7 +12,7 @@ accumulators are ``(lanes,)`` (or ``(lanes, N)``) arrays, and every
 with the bus winning ties exactly like the scalar engine's priority
 classes.  One tick therefore costs a fixed number of small vectorized
 NumPy operations whose cost grows slowly with the lane count (E17's
-``BENCH_sim.json``: 278 us per tick at 32 lanes, 583 us at 512), which
+``BENCH_sim.json``: 314 us per tick at 32 lanes, 552 us at 512), which
 is where the >=10x throughput over running
 :class:`~repro.sim.system.SnoopingBusSimulator` once per seed comes
 from, and why packing many cells into one run pays (see

@@ -37,8 +37,8 @@ MVA_CHUNK_CAP = 1024
 
 #: Lane cap for chunks holding vector-DES cells: at most this many
 #: lockstep lanes (cells x replications) per chunk.  A DES tick's cost
-#: grows slowly with its width (E17 ``BENCH_sim.json`` ``scaling``: 278
-#: us at 32 lanes, 310 us at 128, 583 us at 512), so wide packs are
+#: grows slowly with its width (E17 ``BENCH_sim.json`` ``scaling``: 314
+#: us at 32 lanes, 406 us at 128, 552 us at 512), so wide packs are
 #: cheap per lane; the cap bounds the pack's memory and the work a
 #: lost lease forfeits.
 PACK_LANE_CAP = 512
