@@ -21,8 +21,8 @@ Two claims are checked here:
    reported alongside.  Each tier times ``_PAIRS`` interleaved
    (scalar, batch) pairs, the batch side repeated to last as long as
    the scalar one, and the gate reads the median per-pair ratio, as
-   E13 and E17 do: a best-of-N per side timed the two sides seconds
-   apart, so one noisy spell on a shared host moved the ratio by ~30%.
+   E13 and E17 do, so one noisy spell on a shared host cannot decide
+   the gate.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke job) shrinks
 the stress grid and relaxes the speedup floor -- tiny grids cannot
