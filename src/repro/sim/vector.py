@@ -638,7 +638,8 @@ class VectorSnoopingBusSimulator:
             # Bus grants and completions found this tick, as (lane,
             # processor, time) and (lane, flat lane*n+proc index, time
             # the cache starts its supply cycle) parts.  Local parts
-            # come first: their caches stay busy through the supply.
+            # come first, so the completion phase sets their caches'
+            # busy horizon (through the supply) from one prefix slice.
             grants: list[tuple[np.ndarray, ...]] = []
             comps: list[tuple[np.ndarray, ...]] = []
 
