@@ -130,6 +130,16 @@ class TestLanePacking:
             assert (_rows_bytes(result)
                     == _rows_bytes(simulate_many(config, reps=reps)))
 
+    def test_run_reports_its_tick_count(self, workload_5pct):
+        """Every request completes in some tick of its lane, so a run
+        takes at least warm-up + measured ticks."""
+        simulator = VectorSnoopingBusSimulator.pack(
+            [_config(workload_5pct, n=2, warmup=100, measured=300),
+             _config(workload_5pct, n=8, warmup=100, measured=300)], [2, 3])
+        assert simulator.ticks == 0
+        simulator.run()
+        assert simulator.ticks >= 400
+
     def test_single_processor_lanes(self, workload_5pct):
         """N=1 (no snooping, no supplier) runs alone and packed."""
         one = _config(workload_5pct, n=1, warmup=100, measured=500)
