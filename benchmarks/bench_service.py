@@ -102,7 +102,7 @@ def test_parallel_sweep_beats_serial(benchmark, emit):
     # Wall-clock can only drop when the machine has cores to fan out
     # to -- and enough per-cell work to hide start-up overhead, which
     # the shrunken quick-mode cells do not have.
-    fanned_out = mode.split("+")[-1] in ("process-pool", "chunked")
+    fanned_out = mode.split("+")[-1] == "chunked"
     if not QUICK and fanned_out and cores > 1:
         assert parallel_s < serial_s, (
             f"4-worker sweep ({parallel_s:.2f}s) not faster than serial "

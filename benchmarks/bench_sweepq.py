@@ -15,9 +15,9 @@ MVA stress grid through three paths:
   one in-process batch whatever ``jobs`` is (only simulation cells
   fan out), so this is the batch engine with no queue at all.
 
-The per-cell process pool (``dispatch="cells"``) no longer sees MVA
-cells, so it has no leg here; it measured 0.37-0.58x of serial on this
-grid (``BENCH_sweepq.json`` schema 2).
+The per-cell process pool is deleted, so it has no leg here; it
+measured 0.37-0.58x of serial on this grid (``BENCH_sweepq.json``
+schema 2).
 
 Asserted: chunked >= 2x over serial, and rows byte-identical across
 all three paths.  The floor times the in-process drain because that is

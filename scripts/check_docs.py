@@ -13,9 +13,12 @@ documentation set:
   fetched -- CI must not depend on the network.
 
 It also checks that every E17 figure ``docs/performance.md`` quotes
-(the vector-DES throughput ratios and tick costs) matches the
-committed ``benchmarks/BENCH_sim.json`` it was read from, so a bench
-rerun that moves a figure fails here until the prose follows.
+(the vector-DES throughput ratios and tick costs), and the per-width
+tick costs quoted in ``docs/sweeps.md``, the ``PACK_LANE_CAP`` comment
+of ``src/repro/sweepq/chunks.py`` and the ``repro.sim.vector``
+docstring, match the committed ``benchmarks/BENCH_sim.json`` they were
+read from, so a bench rerun that moves a figure fails here until the
+prose follows.
 
 Exit code 0 when every link resolves and every figure matches, 1
 otherwise (one line per problem).  Run from the repository root::
@@ -128,13 +131,49 @@ def e17_figures(bench: dict) -> list[tuple[str, list[str]]]:
     ]
 
 
+def tick_cost_quotes(bench: dict) -> dict[str, list[tuple[str, list[str]]]]:
+    """The E17 per-width tick costs quoted outside docs/performance.md,
+    as :func:`e17_figures` patterns keyed by repository-relative path."""
+    us = {width: f"{row['us_per_tick']:.0f}"
+          for width, row in bench["scaling"]["widths"].items()}
+    return {
+        "docs/sweeps.md": [
+            (r"\(([\d.]+) µs at 32 lanes, ([\d.]+) µs at 128, "
+             r"([\d.]+) µs at 512", [us["32"], us["128"], us["512"]])],
+        "src/repro/sweepq/chunks.py": [
+            (r"([\d.]+) us at 32 lanes, ([\d.]+) us at 128, "
+             r"([\d.]+) us at 512", [us["32"], us["128"], us["512"]])],
+        "src/repro/sim/vector.py": [
+            (r"([\d.]+) us per tick at 32 lanes, ([\d.]+) us at 512",
+             [us["32"], us["512"]])],
+    }
+
+
 def check_figures(path: Path, bench_path: Path) -> list[str]:
     """Return one error string per E17 figure in ``path`` that is
     missing or differs from ``bench_path``."""
+    return _check_quotes(
+        path, e17_figures(json.loads(bench_path.read_text())),
+        bench_path.name)
+
+
+def check_tick_quotes(bench_path: Path) -> list[str]:
+    """Return one error string per tick cost quoted outside
+    docs/performance.md that is missing or differs from
+    ``bench_path``."""
+    errors: list[str] = []
+    quotes = tick_cost_quotes(json.loads(bench_path.read_text()))
+    for rel, patterns in quotes.items():
+        errors.extend(_check_quotes(ROOT / rel, patterns, bench_path.name))
+    return errors
+
+
+def _check_quotes(path: Path, quotes: list[tuple[str, list[str]]],
+                  bench_name: str) -> list[str]:
     rel = path.relative_to(ROOT)
     text = path.read_text(encoding="utf-8")
     errors: list[str] = []
-    for pattern, expected in e17_figures(json.loads(bench_path.read_text())):
+    for pattern, expected in quotes:
         match = re.search(pattern.replace(" ", r"\s+"), text)
         if match is None:
             errors.append(f"{rel}: E17 figure missing -> /{pattern}/ "
@@ -142,7 +181,7 @@ def check_figures(path: Path, bench_path: Path) -> list[str]:
         elif list(match.groups()) != expected:
             errors.append(f"{rel}: E17 figure drifted -> quotes "
                           f"{', '.join(match.groups())}, "
-                          f"{bench_path.name} gives {', '.join(expected)}")
+                          f"{bench_name} gives {', '.join(expected)}")
     return errors
 
 
@@ -152,8 +191,10 @@ def main() -> int:
     for path in doc_files():
         errors.extend(check_file(path))
     links = len(errors)
+    bench_sim = ROOT / "benchmarks" / "BENCH_sim.json"
     errors.extend(check_figures(ROOT / "docs" / "performance.md",
-                                ROOT / "benchmarks" / "BENCH_sim.json"))
+                                bench_sim))
+    errors.extend(check_tick_quotes(bench_sim))
     for line in errors:
         print(line)
     checked = len(doc_files())

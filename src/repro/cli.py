@@ -10,7 +10,7 @@ Subcommands:
 * ``protocols``-- list the named protocol family
 * ``hierarchy``-- two-level-bus extension (clusters on a global bus)
 * ``estimate`` -- measure Appendix-A parameters from a synthetic trace
-* ``serve``    -- HTTP JSON evaluation service (cache + process pool)
+* ``serve``    -- HTTP JSON evaluation service (cache + coalescer)
 * ``sweep``    -- resumable sharded sweep through the journal-backed
   queue (worker leases, crash recovery, ``--resume JOB_ID``)
 * ``stress``   -- robustness sweep over extreme parameter corners with

@@ -11,12 +11,13 @@ solver into infrastructure that can serve that exploration at scale:
 * :mod:`repro.service.metrics`  -- counters and histograms (cache hit
   rate, solve latency, iterations-to-convergence) with a Prometheus
   text exposition;
-* :mod:`repro.service.executor` -- the sweep executor: it picks the MVA
-  engine (one in-process batch solve for two or more cells, the scalar
-  path for one) and fans simulation cells over the chunked sweep queue
-  (:mod:`repro.sweepq`) or the legacy per-cell process pool, with
-  deterministic ordering, per-cell retry for simulation cells and
-  graceful serial fallback;
+* :mod:`repro.service.executor` -- the sweep executor: one engine rule
+  (:func:`~repro.service.executor.solve_cells`: one in-process batch
+  solve for two or more MVA cells, one lockstep pack for vector-DES
+  cells, the scalar path for the rest) shared with the queue and the
+  coalescer, simulation fan-out over the chunked sweep queue
+  (:mod:`repro.sweepq`), deterministic ordering, per-cell retry for
+  simulation cells and graceful in-process fallback;
 * :mod:`repro.service.schema`   -- the typed request schemas
   (:class:`SolveRequest`, :class:`GridRequest`, :class:`SweepRequest`)
   shared by the versioned and legacy endpoints;
@@ -42,7 +43,6 @@ from repro.service.app import ModelService, ServiceError
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
-    DISPATCH_MODES,
     CellFailedError,
     CellTask,
     ExecutorSummary,
@@ -76,7 +76,6 @@ __all__ = [
     "CellFailedError",
     "CellTask",
     "Counter",
-    "DISPATCH_MODES",
     "ENGINES",
     "ExecutorSummary",
     "FailedCell",

@@ -31,7 +31,6 @@ from repro import __version__
 from repro.service.cache import ResultCache
 from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
-    DISPATCH_MODES,
     CellTask,
     SweepExecutor,
     collect_sweep_result,
@@ -326,7 +325,6 @@ class ModelService:
             "version": __version__,
             "engines": list(ENGINES),  # deprecated with the field
             "default_engine": "scalar",
-            "dispatch_modes": list(DISPATCH_MODES),
             "coalesce": coalesce,
             "limits": {
                 "max_grid_cells": self.max_grid_cells,

@@ -5,8 +5,10 @@ fixed point at a fraction of the per-cell scalar cost -- but an HTTP
 front-end that answers one request at a time never hands it more than a
 request's own cells.  :class:`SolveCoalescer` closes that gap: cells
 submitted by concurrent requests are parked in a queue for a short
-window (``window_ms``, default 2 ms) and then solved together by one
-:func:`repro.service.executor.evaluate_mva_batch` call, with per-cell
+window (``window_ms``, default 2 ms) and then solved together by
+:func:`repro.service.executor.solve_cells` -- one
+:func:`~repro.service.executor.evaluate_mva_batch` call for two or more
+MVA cells, the executor's own engine rule -- with per-cell
 results (and per-cell *errors* -- a poison cell only fails its own
 waiter) fanned back through one future per submission.
 
@@ -50,11 +52,9 @@ from typing import Any
 from repro.service.cache import ResultCache
 from repro.service.executor import (
     CellTask,
-    evaluate_mva_batch,
-    evaluate_with_retry,
     record_failure_metric,
-    record_solve_metrics,
     record_solve_metrics_batch,
+    solve_cells,
 )
 from repro.service.metrics import DEFAULT_BATCH_BUCKETS, MetricsRegistry
 
@@ -87,7 +87,7 @@ class _Waiter:
         self.values: list[dict[str, Any] | None] = [None] * size
         self.missing = size
         self.unwrap = unwrap
-        # The submitting thread (cache hits, post-close solo cells) and
+        # The submitting thread (cache hits, post-close inline cells) and
         # the flusher thread (batch results) may deliver to one waiter
         # concurrently; the read-modify-write on ``missing`` must not
         # lose a decrement or the future never resolves.
@@ -135,8 +135,8 @@ class SolveCoalescer:
         Queue depth that flushes immediately without waiting out the
         window.
     sim_retries:
-        Retry budget for non-MVA cells (which bypass the batch engine
-        and are solved per-cell inside the flush).
+        Retry budget for simulation cells (solved inside the flush by
+        the same engine rule as the MVA cells).
     """
 
     def __init__(self, cache: ResultCache | None = None,
@@ -205,12 +205,12 @@ class SolveCoalescer:
         for slot, value in resolved:
             waiter.deliver(slot, value)
         deduped = 0
-        solo: list[tuple[int, CellTask]] = []
+        inline: list[tuple[int, CellTask]] = []
         with self._lock:
             if self._closed:
                 # Late submission during shutdown: solve inline rather
                 # than strand the waiter.
-                solo = misses
+                inline = misses
             else:
                 now = time.monotonic()
                 enqueued = 0
@@ -233,8 +233,10 @@ class SolveCoalescer:
                 "repro_coalesce_deduped_total",
                 "Cells answered by attaching to an identical "
                 "in-flight cell.").inc(deduped)
-        for slot, task in solo:
-            waiter.deliver(slot, self._solo(task))
+        if inline:
+            values = self._evaluate([task for _, task in inline])
+            for (slot, _), value in zip(inline, values):
+                waiter.deliver(slot, value)
         return waiter.future, cached
 
     def submit(self, task: CellTask) -> tuple[Future, bool]:
@@ -328,32 +330,31 @@ class SolveCoalescer:
         flushed_at = time.monotonic()
         waited = [flushed_at - entry.enqueued_at for entry in batch]
         self._record_flush(batch, reason, waited)
-        tasks = [entry.task for entry in batch]
-        mva = [i for i, task in enumerate(tasks) if task.method == "mva"]
-        values: dict[int, dict[str, Any]] = {}
-        if mva:
-            try:
-                results = evaluate_mva_batch([tasks[i] for i in mva])
-            except Exception:  # noqa: BLE001 - engine fallback, not cells
-                results = [evaluate_with_retry(tasks[i], self.sim_retries)
-                           for i in mva]
-            values.update(zip(mva, results))
-        for i, task in enumerate(tasks):
-            if i not in values:
-                values[i] = evaluate_with_retry(task, self.sim_retries)
+        values = self._evaluate([entry.task for entry in batch])
+        for entry, value in zip(batch, values):
+            for waiter, slot in entry.waiters:
+                waiter.deliver(slot, value)
+
+    def _evaluate(self, tasks: list[CellTask]) -> list[dict[str, Any]]:
+        """Solve cells, record their metrics and cache the solved ones;
+        returns the values in task order (the flusher and the
+        post-close inline path)."""
+        by_position: dict[int, dict[str, Any]] = {}
+        for positions, group in solve_cells(tasks, self.sim_retries):
+            by_position.update(zip(positions, group))
+        values = [by_position[i] for i in range(len(tasks))]
         solved: list[tuple[CellTask, dict[str, Any]]] = []
-        for i, entry in enumerate(batch):
-            value = values[i]
+        for task, value in zip(tasks, values):
             if value.get("error") is not None:
-                record_failure_metric(self.metrics, entry.task)
+                record_failure_metric(self.metrics, task)
             else:
-                solved.append((entry.task, value))
+                solved.append((task, value))
         record_solve_metrics_batch(self.metrics, solved)
         if solved and self.cache is not None:
             # Cache before fan-out so a client that re-submits the
             # moment its response lands hits the cache, not the queue.
             # A cache-write failure (disk full, bad --cache path) must
-            # not take the values down with it: serve the batch
+            # not take the values down with it: serve the cells
             # uncached and keep the flusher alive.
             try:
                 self.cache.put_many(
@@ -361,11 +362,8 @@ class SolveCoalescer:
                 self.cache.flush()
             except OSError:
                 _LOG.exception("result-cache write failed; "
-                               "serving batch uncached")
-        for i, entry in enumerate(batch):
-            value = values[i]
-            for waiter, slot in entry.waiters:
-                waiter.deliver(slot, value)
+                               "serving cells uncached")
+        return values
 
     def _fail_batch(self, batch: list[_Pending], exc: Exception) -> None:
         """Deliver a structured error payload to every waiter of a
@@ -385,22 +383,6 @@ class SolveCoalescer:
             }
             for waiter, slot in entry.waiters:
                 waiter.deliver(slot, value)
-
-    def _solo(self, task: CellTask) -> dict[str, Any]:
-        """The post-close inline path (identical value, no batching)."""
-        value = evaluate_with_retry(task, self.sim_retries)
-        if value.get("error") is not None:
-            record_failure_metric(self.metrics, task)
-        else:
-            if self.cache is not None:
-                try:
-                    self.cache.put(task.key, value)
-                    self.cache.flush()
-                except OSError:
-                    _LOG.exception("result-cache write failed; "
-                                   "serving cell uncached")
-            record_solve_metrics(self.metrics, task, value)
-        return value
 
     # -- metrics ---------------------------------------------------------
 

@@ -7,7 +7,8 @@ fans the simulation cells out over worker processes.  Guarantees:
 
 * **Deterministic ordering** -- results come back in task order (the
   seed's protocol -> sharing -> size -> (mva, sim) order), whatever the
-  completion order of the pool, so CSV/JSON exports are byte-stable.
+  order the engines solved them in, so CSV/JSON exports are
+  byte-stable.
 * **Per-cell failure isolation** -- a cell that cannot be solved
   becomes an error row (:class:`FailedCell` + ``GridCell.error``)
   instead of killing the sweep; every other cell completes exactly as
@@ -20,23 +21,27 @@ fans the simulation cells out over worker processes.  Guarantees:
   deterministically perturbed seed; the *effective* seed that produced
   the result is recorded in the cached value so a cache hit stays
   traceable.
-* **Incremental cache flush** -- every fresh per-cell solve is written
-  to the disk store in its own transaction (a batch in one), so an
-  interrupted sweep keeps its completed cells.
-* **The executor picks the MVA engine** -- two or more pending MVA
-  cells are solved in process by one vectorized :mod:`repro.core.batch`
-  call (:func:`evaluate_mva_batch`), whatever ``jobs`` is; a single
-  MVA cell takes the scalar per-cell path.  Rows are bit-identical on
-  both (``repro verify`` holds them to zero tolerance), and if the
-  batch engine fails wholesale its cells fall back to the scalar path.
+* **Incremental cache flush** -- every engine call's results are
+  written to the disk store in one transaction (a batch or a pack in
+  one, a scalar cell in its own), so an interrupted sweep keeps its
+  completed cells.
+* **One engine rule** -- :func:`solve_cells` decides which engine
+  solves which cell for every in-process caller (this executor, the
+  sweep-queue chunks and the request coalescer): two or more MVA cells
+  are one vectorized :mod:`repro.core.batch` call
+  (:func:`evaluate_mva_batch`), vector-DES cells one lockstep pack
+  (:func:`evaluate_sim_pack`), and every other cell -- a lone MVA cell
+  included -- takes the scalar per-cell path.  Rows are bit-identical
+  on every engine (``repro verify`` holds them to zero tolerance), and
+  if the batch engine fails wholesale its cells fall back to the
+  scalar path.
 * **Simulation fan-out** -- with jobs>1 the simulation cells go to the
   sharded sweep queue (:mod:`repro.sweepq`): cells are grouped into
   chunks, vector-DES chunks run as one lockstep pack inside a worker,
-  and results come back over shared memory.  ``dispatch="cells"``
-  restores the per-cell process pool.
-* **Graceful serial fallback** -- if the platform cannot spawn worker
-  processes (sandboxes, restricted containers) the executor silently
-  degrades to in-process serial evaluation with identical results.
+  and results come back over shared memory.  MVA cells never fan out.
+* **Graceful fallback** -- if the queue fails wholesale, or the
+  platform cannot spawn worker processes (sandboxes, restricted
+  containers), the cells are solved in process with identical results.
 
 Workers return plain dicts (the ``GridCell`` row plus solve metadata),
 which is also exactly what the cache persists, so a cache hit and a
@@ -50,9 +55,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Sequence
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.analysis.grid import GridCell, GridSpec
@@ -77,11 +81,6 @@ from repro.workload.parameters import (
 #: Seed perturbation between simulation retry attempts (prime so bumped
 #: seeds never collide with the grid's own ``sim_seed + n`` spacing).
 _RETRY_SEED_STRIDE = 100_003
-
-#: How a parallel sweep is fanned out: ``auto`` routes jobs>1 through
-#: the chunked sweep queue (:mod:`repro.sweepq`), ``cells`` keeps the
-#: historical per-cell process pool, ``chunked`` forces the queue.
-DISPATCH_MODES = ("auto", "cells", "chunked")
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def tasks_for_spec(spec: GridSpec,
 
 
 def evaluate_task(task: CellTask) -> dict[str, Any]:
-    """Solve one cell; the worker-side unit of the process pool.
+    """Solve one cell; the unit of the scalar per-cell path.
 
     Returns the cache value: the ``GridCell`` row under ``"cell"`` plus
     solve metadata -- ``elapsed_s``; ``iterations``, ``damping``,
@@ -506,7 +505,8 @@ def _error_payload(task: CellTask, exc: Exception, attempts: int,
 
 
 def evaluate_with_retry(task: CellTask, retries: int) -> dict[str, Any]:
-    """Worker entry point: never raises; failures become error payloads.
+    """The scalar per-cell path: never raises; failures become error
+    payloads.
 
     Failing *simulation* cells are retried with a deterministically
     perturbed seed so a numerically pathological draw is not replayed
@@ -518,7 +518,7 @@ def evaluate_with_retry(task: CellTask, retries: int) -> dict[str, Any]:
     A cell that exhausts its attempts returns ``{"error": {...}}``
     (type, message, attempts, and the solver's ladder diagnostics when
     available) instead of raising, so one dead cell cannot take down a
-    process-pool sweep.
+    sweep, a chunk or a coalesced batch.
     """
     started = time.perf_counter()
     attempts = retries + 1 if task.method == "sim" else 1
@@ -526,13 +526,8 @@ def evaluate_with_retry(task: CellTask, retries: int) -> dict[str, Any]:
     for attempt in range(attempts):
         attempt_task = task
         if attempt > 0:
-            attempt_task = CellTask(
-                protocol=task.protocol, sharing_label=task.sharing_label,
-                workload=task.workload, n=task.n, arch=task.arch,
-                method=task.method, sim_requests=task.sim_requests,
-                sim_seed=task.sim_seed + attempt * _RETRY_SEED_STRIDE,
-                solver=task.solver, sim_engine=task.sim_engine,
-                sim_reps=task.sim_reps)
+            attempt_task = replace(
+                task, sim_seed=task.sim_seed + attempt * _RETRY_SEED_STRIDE)
         try:
             value = evaluate_task(attempt_task)
         except Exception as exc:  # noqa: BLE001 - isolate failing cells
@@ -547,6 +542,43 @@ def evaluate_with_retry(task: CellTask, retries: int) -> dict[str, Any]:
                           time.perf_counter() - started)
 
 
+def solve_cells(tasks: Sequence[CellTask], sim_retries: int
+                ) -> Iterator[tuple[list[int], list[dict[str, Any]]]]:
+    """Solve ``tasks`` in process; yield ``(positions, values)`` once
+    per engine call.
+
+    The one engine rule of every in-process caller (the executor, the
+    sweep-queue chunks and the request coalescer): two or more MVA
+    cells are one :func:`evaluate_mva_batch` call -- or, if the batch
+    engine fails wholesale, each a scalar cell; the vector-DES cells
+    are one :func:`evaluate_sim_pack` call; every other cell (a lone
+    MVA cell included) runs alone through :func:`evaluate_with_retry`.
+    ``positions`` index into ``tasks``; groups come in that order, so a
+    caller that persists each group keeps the batch and the pack when
+    a later scalar cell is interrupted.  The engines are looked up as
+    module globals on every call, so a patched engine takes effect.
+    """
+    mva = [i for i, task in enumerate(tasks) if task.method == "mva"]
+    packed = [i for i, task in enumerate(tasks) if task.sim_lanes]
+    alone = [i for i, task in enumerate(tasks)
+             if task.method != "mva" and not task.sim_lanes]
+    if len(mva) > 1:
+        try:
+            values = evaluate_mva_batch([tasks[i] for i in mva])
+        except Exception:  # noqa: BLE001 - engine fallback, not cell errors
+            pass
+        else:
+            yield mva, values
+            mva = []
+    for i in mva:
+        yield [i], [evaluate_with_retry(tasks[i], sim_retries)]
+    if packed:
+        yield packed, evaluate_sim_pack([tasks[i] for i in packed],
+                                        sim_retries)
+    for i in alone:
+        yield [i], [evaluate_with_retry(tasks[i], sim_retries)]
+
+
 @dataclass
 class ExecutorSummary:
     """What one sweep cost and where the answers came from."""
@@ -558,9 +590,9 @@ class ExecutorSummary:
     wall_seconds: float
     jobs: int
     #: "batch" when the sweep's MVA cells went through the batch
-    #: engine, and how its other cells ran: "serial", "chunked",
-    #: "chunked-inprocess", "process-pool" or "serial-fallback"; joined
-    #: with "+" when both happened (e.g. "batch+chunked").
+    #: engine, and how its other cells ran: "serial" (in process),
+    #: "chunked" or "chunked-inprocess"; joined with "+" when both
+    #: happened (e.g. "batch+chunked").
     mode: str
     failed: int = 0
     recovered: int = 0
@@ -623,7 +655,7 @@ def collect_sweep_result(tasks: Sequence[CellTask],
                          mode: str) -> SweepResult:
     """Assemble a :class:`SweepResult` from per-cell worker values.
 
-    The shared consumer-side tail of every dispatch path (serial, pool,
+    The shared consumer-side tail of every dispatch path (in process,
     chunked queue, and the request coalescer): error payloads become
     error rows plus :class:`FailedCell` records, everything else a
     :class:`GridCell`, in task order.
@@ -670,49 +702,16 @@ def record_failure_metric(metrics: MetricsRegistry | None,
     ).labels(method=task.method).inc()
 
 
-def record_solve_metrics(metrics: MetricsRegistry | None, task: CellTask,
-                         value: dict[str, Any]) -> None:
-    """Record one fresh solve (shared by the executor and the coalescer)."""
-    if metrics is None:
-        return
-    metrics.counter(
-        "repro_cells_solved_total",
-        "Cells solved fresh (not served from cache).",
-    ).labels(method=task.method).inc()
-    metrics.histogram(
-        "repro_solve_latency_seconds",
-        "Per-cell solve wall time.",
-    ).labels(method=task.method).observe(value.get("elapsed_s", 0.0))
-    attempts = value.get("attempts", 1)
-    if attempts > 1:
-        metrics.counter(
-            "repro_sim_retries_total",
-            "Simulation cells that needed retry attempts.",
-        ).inc(attempts - 1)
-    if value.get("recovered"):
-        metrics.counter(
-            "repro_cells_recovered_total",
-            "MVA cells rescued by the damping ladder.",
-        ).inc()
-    iterations = value.get("iterations")
-    if iterations is not None:
-        metrics.histogram(
-            "repro_solver_iterations",
-            "Fixed-point sweeps to convergence (MVA cells).",
-            buckets=DEFAULT_ITERATION_BUCKETS,
-        ).observe(iterations)
-
-
 def record_solve_metrics_batch(
         metrics: MetricsRegistry | None,
         solved: Sequence[tuple[CellTask, dict[str, Any]]]) -> None:
-    """Record a whole batch of fresh solves in one pass.
+    """Record fresh solves in one pass (shared by the executor and the
+    coalescer, so a coalesced cell is indistinguishable from an
+    executor cell on a dashboard).
 
-    Same series as :func:`record_solve_metrics` -- a coalesced cell is
-    indistinguishable from an executor cell on a dashboard -- but the
-    registry/label lookups are paid once per batch instead of once per
-    cell, which matters on the coalescer's flusher thread where a batch
-    is hundreds of cells.
+    The registry/label lookups are paid once per call instead of once
+    per cell, which matters on the coalescer's flusher thread where a
+    batch is hundreds of cells.
     """
     if metrics is None or not solved:
         return
@@ -761,17 +760,17 @@ def record_solve_metrics_batch(
 
 
 class SweepExecutor:
-    """Runs cell tasks through the cache and (optionally) a process pool.
+    """Runs cell tasks through the cache, in process or over the queue.
 
     Parameters
     ----------
     jobs:
         Worker process count for simulation cells; ``1`` (default)
-        evaluates them serially in-process.
+        evaluates them in process.
     cache:
         Optional :class:`ResultCache`; flushed incrementally after
-        every fresh solve or batch (an interrupted sweep keeps its
-        completed cells) and once more at the end of the sweep.
+        every engine call (an interrupted sweep keeps its completed
+        cells) and once more at the end of the sweep.
     metrics:
         Optional :class:`MetricsRegistry` fed with cache hit/miss
         counters, per-cell solve latency, MVA
@@ -783,45 +782,32 @@ class SweepExecutor:
         If True, the first unsolvable cell raises
         :class:`CellFailedError` (the historical behaviour).  The
         default isolates failures into per-cell error rows.
-    dispatch:
-        How the simulation cells of a jobs>1 sweep fan out: ``"auto"``
-        (default) and ``"chunked"`` route them through the
-        :class:`repro.sweepq.SweepQueue` -- cells are sharded into
-        chunks, vector-DES chunks packed into one lockstep run in a
-        worker, results returned over shared memory -- while
-        ``"cells"`` keeps the historical per-cell process pool.  Rows
-        are byte-identical either way (``tests/test_determinism``).
-        MVA cells never fan out: two or more are one in-process batch
-        solve, cheaper than any fork (a single one is a scalar solve).
     chunk_size:
-        Cells per chunk on the chunked path; ``None`` takes the
-        queue's default (:meth:`repro.sweepq.SweepQueue.submit`) for
-        the capped worker count.
+        Cells per chunk when a jobs>1 sweep fans its simulation cells
+        out over the :class:`repro.sweepq.SweepQueue`; ``None`` takes
+        the queue's default (:meth:`repro.sweepq.SweepQueue.submit`)
+        for the capped worker count.  MVA cells never fan out: they
+        are solved in process by :func:`solve_cells`.
     state_dir:
-        Optional persistent directory for the chunked path's journal
-        and cache-backed resume; ``None`` (default) uses an ephemeral
+        Optional persistent directory for the queue's journal and
+        cache-backed resume; ``None`` (default) uses an ephemeral
         queue per sweep.
     """
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
                  metrics: MetricsRegistry | None = None,
                  sim_retries: int = 2, strict: bool = False,
-                 dispatch: str = "auto",
                  chunk_size: int | None = None,
                  state_dir: str | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         if sim_retries < 0:
             raise ValueError(f"sim_retries must be >= 0, got {sim_retries!r}")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}")
         self.jobs = jobs
         self.cache = cache
         self.metrics = metrics
         self.sim_retries = sim_retries
         self.strict = strict
-        self.dispatch = dispatch
         self.chunk_size = chunk_size
         self.state_dir = state_dir
 
@@ -852,25 +838,18 @@ class SweepExecutor:
         self._count("repro_cache_misses_total",
                     "Sweep cells that required a fresh solve.", len(pending))
 
-        mva = [(i, t) for i, t in pending if t.method == "mva"]
         sims = [(i, t) for i, t in pending if t.method != "mva"]
         modes: list[str] = []
         try:
-            if mva:
-                modes.append(self._run_mva(mva, values))
-            if sims:
-                if self.jobs > 1 and len(sims) > 1:
-                    if self.dispatch in ("auto", "chunked"):
-                        sim_mode = self._run_chunked(sims, values)
-                    else:
-                        sim_mode = self._run_parallel(sims, values)
-                else:
-                    self._run_serial(sims, values)
-                    sim_mode = "serial"
-                if sim_mode not in modes:
-                    modes.append(sim_mode)
+            if self.jobs > 1 and len(sims) > 1:
+                modes += self._solve_in_process(
+                    [(i, t) for i, t in pending if t.method == "mva"],
+                    values)
+                modes += self._run_chunked(sims, values)
+            else:
+                modes += self._solve_in_process(pending, values)
         finally:
-            # Belt and braces: per-solve flushes already persisted every
+            # Belt and braces: per-group flushes already persisted every
             # completed cell, but make sure nothing dirty is left behind
             # even when a strict sweep raises mid-flight.
             if self.cache is not None:
@@ -879,61 +858,34 @@ class SweepExecutor:
         return collect_sweep_result(
             tasks, values, cached_flags,
             wall_seconds=time.perf_counter() - started,
-            jobs=self.jobs, mode="+".join(modes) or "serial")
+            jobs=self.jobs, mode="+".join(dict.fromkeys(modes)) or "serial")
 
     # -- internals -------------------------------------------------------
 
-    def _run_mva(self, pending: list[tuple[int, CellTask]],
-                 values: dict[int, dict[str, Any]]) -> str:
-        """Solve the sweep's MVA cells in process; returns the mode.
+    def _solve_in_process(self, pending: list[tuple[int, CellTask]],
+                          values: dict[int, dict[str, Any]]) -> list[str]:
+        """Solve cells through :func:`solve_cells`; returns the mode of
+        each engine call (``"batch"`` or ``"serial"``).
 
-        Two or more cells are one vectorized batch (``"batch"``); a
-        single cell takes the scalar per-cell path (``"serial"``).  If
-        the batched engine itself dies (not a per-cell failure -- those
-        come back as error payloads) the cells take the scalar path
-        too, so batching can never lose a sweep that the scalar path
-        would have completed.
-        """
-        if len(pending) > 1:
-            tasks = [task for _, task in pending]
-            try:
-                results = evaluate_mva_batch(tasks)
-            except Exception:  # noqa: BLE001 - engine fallback, not cell errors
-                pass
-            else:
-                if self.cache is not None:
-                    # One transaction for the whole batch, not one per cell.
-                    self.cache.put_many(
-                        (task.key, value) for task, value in zip(tasks, results)
-                        if value.get("error") is None)
-                    self.cache.flush()
-                for (index, task), value in zip(pending, results):
-                    values[index] = self._absorb(task, index, value,
-                                                 store=False)
-                return "batch"
-        self._run_serial(pending, values)
-        return "serial"
-
-    def _run_serial(self, pending: list[tuple[int, CellTask]],
-                    values: dict[int, dict[str, Any]]) -> None:
-        """Evaluate in-process, in task order; the vector-DES cells are
-        solved first, packed into lockstep runs by
-        :func:`evaluate_sim_pack`."""
-        packed = [(index, task) for index, task in pending if task.sim_lanes]
-        solved: dict[int, dict[str, Any]] = {}
-        if packed:
-            solved = dict(zip(
-                (index for index, _ in packed),
-                evaluate_sim_pack([task for _, task in packed],
-                                  self.sim_retries)))
-        for index, task in pending:
-            value = solved.pop(index, None)
-            if value is None:
-                value = evaluate_with_retry(task, self.sim_retries)
-            values[index] = self._absorb(task, index, value)
+        Each engine call's results are cached in one transaction before
+        the next call starts, so an interrupted sweep keeps them."""
+        modes: list[str] = []
+        for positions, group in solve_cells([task for _, task in pending],
+                                            self.sim_retries):
+            solved = [(*pending[position], value)
+                      for position, value in zip(positions, group)]
+            if self.cache is not None:
+                self.cache.put_many((task.key, value)
+                                    for _, task, value in solved
+                                    if value.get("error") is None)
+                self.cache.flush()
+            self._absorb(solved, values)
+            batched = len(solved) > 1 and solved[0][1].method == "mva"
+            modes.append("batch" if batched else "serial")
+        return modes
 
     def _run_chunked(self, pending: list[tuple[int, CellTask]],
-                     values: dict[int, dict[str, Any]]) -> str:
+                     values: dict[int, dict[str, Any]]) -> list[str]:
         """Fan out over the sharded sweep queue (:mod:`repro.sweepq`).
 
         One ephemeral (or ``state_dir``-persistent) queue per sweep:
@@ -942,15 +894,14 @@ class SweepExecutor:
         returned through shared memory.  The queue writes fresh solves
         through the executor's cache itself, so ``_absorb`` here only
         records metrics and the strict-mode check.  If the queue dies
-        wholesale, the historical per-cell pool finishes the sweep.
+        wholesale, the cells are solved in process.
 
         Worker processes are capped at the machine's core count:
         surplus workers on a saturated machine only add fork, journal
         and supervision overhead, while fewer, wider chunks keep the
         lockstep packs wide."""
-        tasks = [task for _, task in pending]
         workers = max(1, min(self.jobs, os.cpu_count() or 1))
-        queue = None
+        queue = outcome = None
         try:
             from repro.sweepq import SweepQueue
 
@@ -958,78 +909,34 @@ class SweepExecutor:
                 state_dir=self.state_dir, cache=self.cache,
                 metrics=self.metrics, chunk_size=self.chunk_size,
                 sim_retries=self.sim_retries)
-            outcome = queue.run_tasks(tasks, workers=workers,
-                                      precheck_cache=False)
-        except CellFailedError:  # pragma: no cover - queue never raises it
-            raise
+            outcome = queue.run_tasks([task for _, task in pending],
+                                      workers=workers, precheck_cache=False)
         except Exception:  # noqa: BLE001 - queue fallback, not cell errors
-            return self._run_parallel(pending, values)
+            pass
         finally:
             if queue is not None:
                 queue.close()
-        for (index, task), value in zip(pending, outcome.values):
-            values[index] = self._absorb(task, index, value, store=False)
-        return outcome.mode
+        if outcome is None:
+            return self._solve_in_process(pending, values)
+        self._absorb([(*cell, value)
+                      for cell, value in zip(pending, outcome.values)],
+                     values)
+        return [outcome.mode]
 
-    def _run_parallel(self, pending: list[tuple[int, CellTask]],
-                      values: dict[int, dict[str, Any]]) -> str:
-        """Fan out over a process pool; degrade to serial if the platform
-        cannot give us worker processes.  Completed cells land in
-        ``values`` (and the cache) as they arrive, so even an aborted
-        pool keeps its finished work."""
-        tasks_by_index = dict((index, task) for index, task in pending)
-        try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    pool.submit(evaluate_with_retry, task, self.sim_retries):
-                    index for index, task in pending}
-                try:
-                    for future in as_completed(futures):
-                        index = futures[future]
-                        values[index] = self._absorb(
-                            tasks_by_index[index], index, future.result())
-                except CellFailedError:
-                    for future in futures:
-                        future.cancel()
-                    raise
-            return "process-pool"
-        except (OSError, PermissionError, BrokenExecutor):
-            remaining = [(index, task) for index, task in pending
-                         if index not in values]
-            for index, task in remaining:
-                values[index] = self._absorb(
-                    task, index, evaluate_with_retry(task, self.sim_retries))
-            return "serial-fallback"
-
-    def _absorb(self, task: CellTask, index: int,
-                value: dict[str, Any],
-                store: bool = True) -> dict[str, Any]:
-        """Record one fresh result: metrics, cache (with an incremental
-        flush), and the strict-mode failure check.  ``store=False``
-        skips the cache write (the caller already persisted the value:
-        the chunked queue, or the batch path in one transaction)."""
-        if value.get("error") is not None:
-            self._record_failure(task)
-            if self.strict:
-                raise CellFailedError(self._failure(index, task, value))
-            return value
-        if store and self.cache is not None:
-            self.cache.put(task.key, value)
-            self.cache.flush()
-        self._record_solve(task, value)
-        return value
-
-    @staticmethod
-    def _failure(index: int, task: CellTask,
-                 value: dict[str, Any]) -> FailedCell:
-        return failed_cell(index, task, value)
+    def _absorb(self, solved: list[tuple[int, CellTask, dict[str, Any]]],
+                values: dict[int, dict[str, Any]]) -> None:
+        """Record fresh results (the caller already cached them):
+        metrics, then the strict-mode check at the first dead cell."""
+        record_solve_metrics_batch(
+            self.metrics, [(task, value) for _, task, value in solved
+                           if value.get("error") is None])
+        for index, task, value in solved:
+            values[index] = value
+            if value.get("error") is not None:
+                record_failure_metric(self.metrics, task)
+                if self.strict:
+                    raise CellFailedError(failed_cell(index, task, value))
 
     def _count(self, name: str, help_text: str, amount: int) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, help_text).inc(amount)
-
-    def _record_failure(self, task: CellTask) -> None:
-        record_failure_metric(self.metrics, task)
-
-    def _record_solve(self, task: CellTask, value: dict[str, Any]) -> None:
-        record_solve_metrics(self.metrics, task, value)

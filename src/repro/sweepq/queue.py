@@ -266,11 +266,7 @@ class SweepQueue:
                     mode = self._run_workers(job_id, tasks, store, workers,
                                              chaos_kill, values, drained)
                 else:
-                    drain_in_process(
-                        self.journal, job_id, tasks, store,
-                        lease_ttl=max(self.lease_ttl, 3600.0),
-                        sim_retries=self.sim_retries,
-                        max_attempts=self.max_chunk_attempts)
+                    self._drain_in_process(job_id, tasks, store)
                 self._drain(job_id, tasks, store, values, drained)
             finally:
                 store.close()
@@ -297,11 +293,7 @@ class SweepQueue:
         tasks = self.tasks_for(job_id)
         store = ResultStore.create(self._store_path(job_id), len(tasks))
         try:
-            drain_in_process(
-                self.journal, job_id, tasks, store,
-                lease_ttl=max(self.lease_ttl, 3600.0),
-                sim_retries=self.sim_retries,
-                max_attempts=self.max_chunk_attempts, max_chunks=limit)
+            self._drain_in_process(job_id, tasks, store, max_chunks=limit)
             self._drain(job_id, tasks, store, values={}, drained=set())
         finally:
             store.close()
@@ -312,9 +304,30 @@ class SweepQueue:
     def _store_path(self, job_id: str) -> Path:
         return self.state_dir / f"{job_id}.results"
 
-    def _chunk_members(self, tasks: list[Any],
-                       chunk: ChunkRecord) -> range:
-        return range(chunk.start, chunk.stop)
+    def _drain_in_process(self, job_id: str, tasks: list[Any],
+                          store: ResultStore,
+                          max_chunks: int | None = None) -> int:
+        """Run the worker loop in this process (serial path, platform
+        fallback, bounded drains), with leases of at least an hour."""
+        return drain_in_process(
+            self.journal, job_id, tasks, store,
+            lease_ttl=max(self.lease_ttl, 3600.0),
+            sim_retries=self.sim_retries,
+            max_attempts=self.max_chunk_attempts, max_chunks=max_chunks)
+
+    def _cached_chunk(self, tasks: list[Any],
+                      chunk: ChunkRecord) -> list[dict[str, Any]] | None:
+        """Every cell value of ``chunk`` from the cache, or ``None``
+        if any of them is missing."""
+        if self.cache is None:
+            return None
+        hits: list[dict[str, Any]] = []
+        for index in range(chunk.start, chunk.stop):
+            hit = self.cache.get(tasks[index].key)
+            if hit is None:
+                return None
+            hits.append(hit)
+        return hits
 
     def _resume_done_chunks(self, job_id: str, tasks: list[Any],
                             values: dict[int, dict[str, Any]],
@@ -325,17 +338,11 @@ class SweepQueue:
         for chunk in self.journal.chunk_rows(job_id):
             if chunk.state != DONE:
                 continue
-            hits: list[dict[str, Any]] = []
-            if self.cache is not None:
-                for index in self._chunk_members(tasks, chunk):
-                    hit = self.cache.get(tasks[index].key)
-                    if hit is None:
-                        break
-                    hits.append(hit)
-            if len(hits) < chunk.stop - chunk.start:
+            hits = self._cached_chunk(tasks, chunk)
+            if hits is None:
                 self.journal.reset_chunk(job_id, chunk.index)
                 continue
-            for index, hit in zip(self._chunk_members(tasks, chunk), hits):
+            for index, hit in zip(range(chunk.start, chunk.stop), hits):
                 values[index] = hit
                 cached_flags[index] = True
             drained.add(chunk.index)
@@ -353,16 +360,11 @@ class SweepQueue:
         for chunk in self.journal.chunk_rows(job_id):
             if chunk.state != "queued":
                 continue
-            hits = []
-            for index in self._chunk_members(tasks, chunk):
-                hit = self.cache.get(tasks[index].key)
-                if hit is None:
-                    break
-                hits.append(hit)
-            if len(hits) < chunk.stop - chunk.start:
+            hits = self._cached_chunk(tasks, chunk)
+            if hits is None:
                 continue
             if self.journal.mark_done_cached(job_id, chunk.index):
-                for index, hit in zip(self._chunk_members(tasks, chunk),
+                for index, hit in zip(range(chunk.start, chunk.stop),
                                       hits):
                     values[index] = hit
                     cached_flags[index] = True
@@ -387,10 +389,7 @@ class SweepQueue:
         except (OSError, PermissionError):
             # The platform cannot give us processes at all: solve
             # everything in the parent instead.
-            drain_in_process(self.journal, job_id, tasks, store,
-                             lease_ttl=max(self.lease_ttl, 3600.0),
-                             sim_retries=self.sim_retries,
-                             max_attempts=self.max_chunk_attempts)
+            self._drain_in_process(job_id, tasks, store)
             return "chunked-inprocess"
 
         respawn_budget = 2 * workers + 2
@@ -404,11 +403,7 @@ class SweepQueue:
                     if respawn_budget <= 0:
                         # Children keep dying: finish in the parent so
                         # the sweep still terminates deterministically.
-                        drain_in_process(
-                            self.journal, job_id, tasks, store,
-                            lease_ttl=max(self.lease_ttl, 3600.0),
-                            sim_retries=self.sim_retries,
-                            max_attempts=self.max_chunk_attempts)
+                        self._drain_in_process(job_id, tasks, store)
                         break
                     respawn_budget -= 1
                     try:
@@ -449,7 +444,7 @@ class SweepQueue:
             if chunk.source != "worker":
                 continue
             extras = chunk.extras or {}
-            for index in self._chunk_members(tasks, chunk):
+            for index in range(chunk.start, chunk.stop):
                 value = store.read(index, tasks[index],
                                    extras.get(str(index)))
                 values[index] = value
@@ -467,7 +462,7 @@ class SweepQueue:
             if chunk.state != FAILED:
                 continue
             message = chunk.error or "chunk abandoned"
-            for index in self._chunk_members(tasks, chunk):
+            for index in range(chunk.start, chunk.stop):
                 values[index] = {
                     "error": {
                         "type": "ChunkFailedError",

@@ -7,15 +7,15 @@ shared :class:`repro.sweepq.store.ResultStore`, and completes the lease.
 The loop exits when every chunk of the job is terminal (done or
 failed).
 
-Inside a chunk the MVA cells are solved by **one** call to
-:func:`repro.service.executor.evaluate_mva_batch` -- the vectorized
-:func:`repro.core.batch.solve_batch` fixed point -- and the vector-DES
-cells by **one** call to :func:`repro.service.executor
-.evaluate_sim_pack`, which runs them (cells x replications) as one
-lockstep pack, so one lease round-trip covers the whole slice;
-scalar-DES cells take the per-cell retrying path.  Per-cell failure
-isolation is inherited from the executor payloads: an unsolvable cell
-becomes an error payload in the extras sidecar, never a dead worker.
+Inside a chunk the cells are solved by
+:func:`repro.service.executor.solve_cells`, the executor's own engine
+rule: two or more MVA cells are **one** vectorized
+:func:`repro.core.batch.solve_batch` fixed point, the vector-DES cells
+**one** lockstep pack (cells x replications), so one lease round-trip
+covers the whole slice; every other cell takes the per-cell retrying
+path.  Per-cell failure isolation is inherited from the executor
+payloads: an unsolvable cell becomes an error payload in the extras
+sidecar, never a dead worker.
 
 The same loop runs in two modes:
 
@@ -76,45 +76,19 @@ def solve_chunk(tasks: list[Any], start: int, stop: int,
                 sim_retries: int) -> dict[str, Any] | None:
     """Solve ``tasks[start:stop]`` into the store; return JSON extras.
 
-    MVA cells go through the batch engine in one call (falling back to
-    per-cell scalar solves only if the batch engine dies wholesale, so
-    a chunk can never fail where scalar cells would have succeeded);
-    vector-DES cells run as one lockstep pack (with the same per-cell
-    fallback inside :func:`~repro.service.executor.evaluate_sim_pack`);
-    scalar-DES cells run the per-cell retrying path.
+    The engines are picked by
+    :func:`~repro.service.executor.solve_cells`, exactly as for an
+    in-process sweep.
     """
-    from repro.service.executor import (
-        evaluate_mva_batch,
-        evaluate_sim_pack,
-        evaluate_with_retry,
-    )
+    from repro.service.executor import solve_cells
 
     extras: dict[str, Any] = {}
-
-    def write(indices: list[int], values: list[dict[str, Any]]) -> None:
-        for index, value in zip(indices, values):
+    for positions, values in solve_cells(tasks[start:stop], sim_retries):
+        for position, value in zip(positions, values):
+            index = start + position
             cell_extras = store.write(index, tasks[index], value)
             if cell_extras is not None:
                 extras[str(index)] = cell_extras
-
-    members = range(start, stop)
-    mva_indices = [i for i in members if tasks[i].method == "mva"]
-    if mva_indices:
-        mva_tasks = [tasks[i] for i in mva_indices]
-        try:
-            values = evaluate_mva_batch(mva_tasks)
-        except Exception:  # noqa: BLE001 - engine fallback, not cell errors
-            values = [evaluate_with_retry(task, sim_retries)
-                      for task in mva_tasks]
-        write(mva_indices, values)
-    pack_indices = [i for i in members if tasks[i].sim_lanes]
-    if pack_indices:
-        write(pack_indices,
-              evaluate_sim_pack([tasks[i] for i in pack_indices],
-                                sim_retries))
-    rest = [i for i in members
-            if tasks[i].method != "mva" and not tasks[i].sim_lanes]
-    write(rest, [evaluate_with_retry(tasks[i], sim_retries) for i in rest])
     # No msync here: MAP_SHARED pages are coherent across processes as
     # written, and on-disk durability of the transport file is not a
     # correctness input (resume rests on the result cache).

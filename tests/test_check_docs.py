@@ -1,5 +1,7 @@
-"""``scripts/check_docs.py``: the E17 figures in docs/performance.md
-must match the committed ``benchmarks/BENCH_sim.json``."""
+"""``scripts/check_docs.py``: the E17 figures in docs/performance.md,
+and the tick costs quoted in docs/sweeps.md, ``repro.sweepq.chunks``
+and ``repro.sim.vector``, must match the committed
+``benchmarks/BENCH_sim.json``."""
 
 from __future__ import annotations
 
@@ -31,3 +33,19 @@ def test_a_moved_figure_is_reported(tmp_path):
     moved.write_text(json.dumps(bench))
     errors = _check_docs().check_figures(PERFORMANCE, moved)
     assert len(errors) == 1 and "drifted" in errors[0], errors
+
+
+def test_committed_tick_costs_match_the_artifact():
+    assert _check_docs().check_tick_quotes(BENCH_SIM) == []
+
+
+def test_a_moved_tick_cost_is_reported_in_every_quote(tmp_path):
+    bench = json.loads(BENCH_SIM.read_text())
+    bench["scaling"]["widths"]["32"]["us_per_tick"] += 10.0
+    moved = tmp_path / "BENCH_sim.json"
+    moved.write_text(json.dumps(bench))
+    errors = _check_docs().check_tick_quotes(moved)
+    assert all("drifted" in error for error in errors), errors
+    assert sorted(error.split(":")[0] for error in errors) == [
+        "docs/sweeps.md", "src/repro/sim/vector.py",
+        "src/repro/sweepq/chunks.py"]

@@ -19,6 +19,7 @@ from contextlib import closing
 import pytest
 
 import repro.service.coalesce as coalesce_module
+import repro.service.executor as executor_module
 from repro.service import ModelService, SolveCoalescer, start_server
 from repro.service.cache import ResultCache
 from repro.service.coalesce import FLUSH_REASONS
@@ -38,7 +39,7 @@ def _task(n, protocol="berkeley"):
 
 def _poison(monkeypatch, bad_n):
     """Make the batch engine return an error payload for n == bad_n."""
-    real = coalesce_module.evaluate_mva_batch
+    real = executor_module.evaluate_mva_batch
 
     def poisoned(tasks):
         results = real(tasks)
@@ -49,7 +50,7 @@ def _poison(monkeypatch, bad_n):
                               "attempts": 1, "elapsed_s": 0.0}
         return results
 
-    monkeypatch.setattr(coalesce_module, "evaluate_mva_batch", poisoned)
+    monkeypatch.setattr(executor_module, "evaluate_mva_batch", poisoned)
 
 
 class TestFlushTriggers:
@@ -149,7 +150,7 @@ class TestPoisonIsolation:
         def explode(tasks):
             raise RuntimeError("batch engine down")
 
-        monkeypatch.setattr(coalesce_module, "evaluate_mva_batch", explode)
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", explode)
         coalescer = SolveCoalescer(window_ms=20, max_batch=64)
         try:
             futures, _ = coalescer.submit_all([_task(2), _task(4)])

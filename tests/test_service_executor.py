@@ -7,6 +7,7 @@ from repro.analysis.grid import GridSpec, run_grid
 from repro.core.solver import FixedPointSolver
 from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.service.cache import ResultCache
+from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
     CellTask,
     SweepExecutor,
@@ -15,6 +16,7 @@ from repro.service.executor import (
     tasks_for_spec,
 )
 from repro.service.metrics import MetricsRegistry
+from repro.sweepq import SweepQueue
 from repro.sweepq.journal import SweepJournal
 from repro.verify import scalar_sweep
 from repro.workload.parameters import SharingLevel, appendix_a_workload
@@ -85,15 +87,7 @@ class TestDeterminism:
         result = SweepExecutor(jobs=2).run_spec(sim_spec)
         assert [c.as_row() for c in result.cells] == rows
         assert result.summary.mode in ("batch+chunked",
-                                       "batch+chunked-inprocess",
-                                       "batch+serial-fallback")
-
-    def test_cells_dispatch_matches_serial(self, sim_spec):
-        rows = [c.as_row() for c in run_grid(sim_spec)]
-        result = SweepExecutor(jobs=2, dispatch="cells").run_spec(sim_spec)
-        assert [c.as_row() for c in result.cells] == rows
-        assert result.summary.mode in ("batch+process-pool",
-                                       "batch+serial-fallback")
+                                       "batch+chunked-inprocess")
 
     def test_run_grid_accepts_an_executor(self, spec):
         cache = ResultCache()
@@ -222,6 +216,13 @@ def _mva_task(n, solver=None):
         **({"solver": solver} if solver is not None else {}))
 
 
+def _cell_task(n, **fields):
+    return CellTask(
+        protocol=ProtocolSpec(), sharing_label="5%",
+        workload=appendix_a_workload(SharingLevel.FIVE_PERCENT), n=n,
+        **fields)
+
+
 #: A solver no damping rung can save: the tolerance is unreachable.
 _POISONED = FixedPointSolver(tolerance=1e-30, max_iterations=3)
 
@@ -296,6 +297,36 @@ class TestFailureIsolation:
         reloaded = ResultCache(path=path)
         assert len(reloaded) == 2  # the two cells solved before the cut
 
+    def test_interrupted_mixed_sweep_keeps_the_batch_and_the_pack(
+            self, tmp_path, monkeypatch):
+        """Each engine call is persisted before the next starts: a cut
+        in the first scalar-DES cell leaves the MVA batch and the
+        vector-DES pack on disk, even when that cell comes first in
+        task order."""
+        path = tmp_path / "cells.db"
+        des = {"method": "sim", "sim_requests": 300}
+        tasks = [
+            _cell_task(2, **des), _mva_task(2),
+            _cell_task(2, sim_engine="vector", sim_reps=2, **des),
+            _mva_task(4), _cell_task(4, **des),
+            _cell_task(4, sim_engine="vector", sim_reps=2, **des),
+            _mva_task(8)]
+        real = executor_module.evaluate_task
+
+        def cut_at_scalar_des(task):
+            if task.method == "sim" and task.sim_engine == "scalar":
+                raise KeyboardInterrupt
+            return real(task)
+        monkeypatch.setattr(executor_module, "evaluate_task",
+                            cut_at_scalar_des)
+        with pytest.raises(KeyboardInterrupt):
+            SweepExecutor(jobs=1, cache=ResultCache(path=path)).run(tasks)
+        reloaded = ResultCache(path=path)
+        kept = [task for task in tasks if task.method == "mva"
+                or task.sim_engine == "vector"]
+        assert len(reloaded) == len(kept) == 5
+        assert all(reloaded.get(task.key) is not None for task in kept)
+
     def test_parallel_sweep_isolates_failures_too(self):
         tasks = self._tasks_with_one_poisoned()
         serial = SweepExecutor(jobs=1).run(tasks)
@@ -355,20 +386,10 @@ class TestDampingRecovery:
 
 
 class TestSerialFallback:
-    def test_pool_failure_degrades_to_serial(self, sim_spec, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise OSError("no processes for you")
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
-                            broken_pool)
-        rows = [c.as_row() for c in run_grid(sim_spec)]
-        result = SweepExecutor(jobs=4, dispatch="cells").run_spec(sim_spec)
-        assert result.summary.mode == "batch+serial-fallback"
-        assert [c.as_row() for c in result.cells] == rows
-
-    def test_broken_queue_degrades_to_process_pool(self, sim_spec,
-                                                   monkeypatch):
+    def test_broken_queue_degrades_to_in_process(self, sim_spec,
+                                                 monkeypatch):
         """The chunked path must never take the executor down with it:
-        a queue that blows up falls back to per-cell dispatch."""
+        a queue that blows up falls back to the in-process path."""
         import repro.sweepq as sweepq_module
 
         def broken_queue(*args, **kwargs):
@@ -376,8 +397,7 @@ class TestSerialFallback:
         monkeypatch.setattr(sweepq_module, "SweepQueue", broken_queue)
         rows = [c.as_row() for c in run_grid(sim_spec)]
         result = SweepExecutor(jobs=2).run_spec(sim_spec)
-        assert result.summary.mode in ("batch+process-pool",
-                                       "batch+serial-fallback")
+        assert result.summary.mode == "batch+serial"
         assert [c.as_row() for c in result.cells] == rows
 
     def test_jobs_validation(self):
@@ -385,13 +405,34 @@ class TestSerialFallback:
             SweepExecutor(jobs=0)
         with pytest.raises(ValueError):
             SweepExecutor(sim_retries=-1)
-        with pytest.raises(ValueError):
-            SweepExecutor(dispatch="osmosis")
+
+
+def _solve_through_executor(task):
+    return SweepExecutor().run([task]).cells[0].as_row()
+
+
+def _solve_through_queue(task):
+    queue = SweepQueue()
+    try:
+        outcome = queue.run_tasks([task], workers=1)
+    finally:
+        queue.close()
+    return outcome.values[0]["cell"]
+
+
+def _solve_through_coalescer(task):
+    coalescer = SolveCoalescer(window_ms=1)
+    try:
+        future, _ = coalescer.submit(task)
+        return future.result(timeout=10)["cell"]
+    finally:
+        coalescer.close()
 
 
 class TestEnginePick:
-    """The executor picks the MVA engine: batch for two or more pending
-    MVA cells, the scalar path for one; rows identical either way."""
+    """Every in-process caller picks engines by one rule: batch for two
+    or more MVA cells, the scalar path for one; rows identical either
+    way."""
 
     def test_default_grid_is_one_batch_matching_per_cell_rows(self):
         spec = GridSpec(protocols=all_combinations(), sizes=range(1, 22))
@@ -403,15 +444,29 @@ class TestEnginePick:
         assert rows == [evaluate_task(task)["cell"]
                         for task in tasks_for_spec(spec)]
 
-    def test_single_cell_takes_the_scalar_path(self, monkeypatch):
-        def no_batch(tasks):
-            raise AssertionError("a single cell must not batch")
+    @pytest.mark.parametrize("solve", [
+        _solve_through_executor, _solve_through_queue,
+        _solve_through_coalescer], ids=["executor", "queue", "coalescer"])
+    def test_single_cell_takes_the_scalar_path(self, solve, monkeypatch):
         task = _mva_task(8)
         expected = evaluate_task(task)["cell"]
+        calls = {"batch": 0, "scalar": 0}
+        real_task = executor_module.evaluate_task
+
+        def no_batch(tasks):
+            calls["batch"] += 1
+            raise AssertionError("a single cell must not batch")
+
+        def scalar(task):
+            calls["scalar"] += 1
+            return real_task(task)
         monkeypatch.setattr(executor_module, "evaluate_mva_batch", no_batch)
-        result = SweepExecutor().run([task])
-        assert result.summary.mode == "serial"
-        assert result.cells[0].as_row() == expected
+        monkeypatch.setattr(executor_module, "evaluate_task", scalar)
+        assert solve(task) == expected
+        assert calls == {"batch": 0, "scalar": 1}
+
+    def test_lone_cell_sweep_reports_serial(self):
+        assert SweepExecutor().run([_mva_task(8)]).summary.mode == "serial"
 
     def test_wholesale_batch_failure_falls_back_to_scalar(self, spec,
                                                           monkeypatch):

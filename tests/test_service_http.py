@@ -315,7 +315,7 @@ class TestCapabilities:
         assert payload["api_version"] == "v1"
         assert payload["engines"] == ["scalar", "batch"]
         assert payload["default_engine"] == "scalar"
-        assert payload["dispatch_modes"] == ["auto", "cells", "chunked"]
+        assert "dispatch_modes" not in payload
         assert payload["coalesce"] == {"enabled": False}
         assert payload["limits"]["max_grid_cells"] == 4096
         assert "/v1/solve" in payload["endpoints"]["post"]
