@@ -10,18 +10,22 @@ server configurations on the same machine:
 * ``async``              -- the asyncio front-end, solo solves;
 * ``async+coalesce``     -- asyncio + coalescer (the headline config).
 
-Two load modes per configuration:
+Three load legs per configuration:
 
 * **closed loop** -- N keep-alive clients, each firing its next
   request the moment the previous one answers.  Measures capacity:
   requests/s plus p50/p99 response time.
-* **open loop** -- Poisson arrivals at 70 % of the measured closed-loop
-  capacity, issued from a worker pool on a pre-generated exponential
-  schedule.  Latency is measured from *scheduled arrival* to
-  completion, so client-side queueing counts (the honest open-loop
-  number).  The M/M/1 closed form (``repro.queueing.mm1``) predicts
-  p99 ~= -ln(0.01) x mean response time at the same offered load, a
-  sanity anchor for the measured tail.
+* **open loop** -- Poisson arrivals at 70 % of the configuration's own
+  measured closed-loop capacity, issued from a worker pool on a
+  pre-generated exponential schedule.  Latency is measured from
+  *scheduled arrival* to completion, so client-side queueing counts
+  (the honest open-loop number).  The M/M/1 closed form
+  (``repro.queueing.mm1``) predicts p99 ~= -ln(0.01) x mean response
+  time at the same offered load, a sanity anchor for the measured tail.
+* **shared open loop** -- the same Poisson schedule offered to every
+  configuration at one rate, 70 % of the *lowest* closed-loop capacity
+  of the run, so the tails compare at equal load (the own-capacity
+  legs offer each configuration a different rate).
 
 Every request solves one 32-point speedup curve -- one (protocol,
 sharing) pair over a run of consecutive system sizes, the paper-native
@@ -310,12 +314,11 @@ def _open_loop(host: str, port: int, requests: list[bytes],
     return record
 
 
-def _boot(config: str, window_ms: float, max_batch: int):
+def _boot(config: str, max_batch: int):
     """Start one server configuration; returns (host, port, teardown,
     service)."""
     if "coalesce" in config:
-        service = ModelService.with_coalescer(
-            window_ms=window_ms, max_batch=max_batch)
+        service = ModelService.with_coalescer(max_batch=max_batch)
     else:
         service = ModelService(cache=ResultCache())
     if config.startswith("async"):
@@ -343,8 +346,7 @@ def run(args: argparse.Namespace) -> dict:
     bodies = _body_pool(args.cells)
     configs: dict[str, dict] = {}
     for config in args.configs:
-        host, port, teardown, service = _boot(
-            config, args.window_ms, args.max_batch)
+        host, port, teardown, service = _boot(config, args.max_batch)
         requests = [render_request(host, port, body) for body in bodies]
         try:
             closed = _closed_loop(host, port, requests, args.concurrency,
@@ -367,6 +369,20 @@ def run(args: argparse.Namespace) -> dict:
             print(_render_config(config, entry))
         finally:
             teardown()
+    shared_rps = OPEN_LOAD_FRACTION * min(
+        entry["closed"]["rps"] for entry in configs.values())
+    if shared_rps > 0:
+        for config, entry in configs.items():
+            host, port, teardown, _ = _boot(config, args.max_batch)
+            requests = [render_request(host, port, body) for body in bodies]
+            try:
+                entry["shared_open"] = _open_loop(
+                    host, port, requests, args.concurrency, shared_rps,
+                    args.duration, entry["closed"]["rps"])
+            finally:
+                teardown()
+            print(f"{config}: "
+                  + _render_open("shared open", entry["shared_open"]))
     record = {
         "schema": 1,
         "quick": args.quick,
@@ -374,10 +390,10 @@ def run(args: argparse.Namespace) -> dict:
         "concurrency": args.concurrency,
         "duration_s": args.duration,
         "warmup_s": args.warmup,
-        "coalesce_window_ms": args.window_ms,
         "coalesce_max_cells": args.max_batch,
         "cells_per_request": args.cells,
         "configs": configs,
+        "shared_offered_rps": round(shared_rps, 1),
         "speedup_floor": None if args.quick else SPEEDUP_FLOOR,
     }
     if "threaded" in configs and "async+coalesce" in configs:
@@ -397,15 +413,9 @@ def _render_config(config: str, entry: dict) -> str:
              f"p99 {closed['p99_ms']:7.2f} ms  "
              f"({closed['requests']} requests, "
              f"{closed['errors']} errors)"]
-    if "open" in entry:
-        open_ = entry["open"]
-        predicted = open_.get("mm1_predicted_p99_ms")
-        lines.append(
-            f"  open loop   : offered {open_['offered_rps']:8.1f} "
-            f"completed {open_['completed_rps']:8.1f} req/s  "
-            f"p99 {open_['p99_ms']:7.2f} ms"
-            + (f"  (M/M/1 predicts {predicted:.2f} ms)"
-               if predicted is not None else ""))
+    for key, label in (("open", "open loop"), ("shared_open", "shared open")):
+        if key in entry:
+            lines.append(f"  {_render_open(label, entry[key])}")
     if "coalesce" in entry:
         stats = entry["coalesce"]
         lines.append(
@@ -413,6 +423,15 @@ def _render_config(config: str, entry: dict) -> str:
             f"{stats['mean_batch_cells']:.1f} cells/batch, "
             f"{stats['mean_wait_ms']:.2f} ms mean wait")
     return "\n".join(lines)
+
+
+def _render_open(label: str, open_: dict) -> str:
+    predicted = open_.get("mm1_predicted_p99_ms")
+    return (f"{label:<12}: offered {open_['offered_rps']:8.1f} "
+            f"completed {open_['completed_rps']:8.1f} req/s  "
+            f"p50 {open_['p50_ms']:7.2f} ms  p99 {open_['p99_ms']:7.2f} ms"
+            + (f"  (M/M/1 predicts {predicted:.2f} ms)"
+               if predicted is not None else ""))
 
 
 def _render_report(record: dict) -> str:
@@ -423,6 +442,8 @@ def _render_report(record: dict) -> str:
              f"{', quick' if record['quick'] else ''}):"]
     for config, entry in record["configs"].items():
         lines.append(_render_config(config, entry))
+    lines.append(f"shared open loop: every configuration offered "
+                 f"{record['shared_offered_rps']} req/s")
     speedup = record.get("speedup_async_coalesced_vs_threaded")
     if speedup is not None:
         lines.append(f"async+coalesce over threaded: {speedup:.2f}x "
@@ -443,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 1, quick 0.25)")
     parser.add_argument("--concurrency", type=int, default=None,
                         help="closed-loop clients (default 64, quick 8)")
-    parser.add_argument("--window-ms", type=float, default=2.0,
-                        help="coalescing window for the *+coalesce "
-                             "configurations")
     parser.add_argument("--max-batch", type=int, default=512,
                         help="coalescing max batch size (the batch "
                              "engine's per-cell cost plateaus by 256; "
@@ -478,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     for config, entry in record["configs"].items():
         closed_errors = entry["closed"]["errors"]
-        open_errors = entry.get("open", {}).get("errors", 0)
+        open_errors = sum(entry.get(key, {}).get("errors", 0)
+                          for key in ("open", "shared_open"))
         if closed_errors or open_errors:
             failures.append(f"{config}: {closed_errors} closed-loop + "
                             f"{open_errors} open-loop errors")

@@ -17,8 +17,9 @@ It also checks that every E17 figure ``docs/performance.md`` quotes
 tick costs quoted in ``docs/sweeps.md``, the ``PACK_LANE_CAP`` comment
 of ``src/repro/sweepq/chunks.py`` and the ``repro.sim.vector``
 docstring, match the committed ``benchmarks/BENCH_sim.json`` they were
-read from, so a bench rerun that moves a figure fails here until the
-prose follows.
+read from, and that the E16 throughput ratio quoted in ``README.md`` and
+``docs/service.md`` matches ``benchmarks/BENCH_load.json``, so a bench
+rerun that moves a figure fails here until the prose follows.
 
 Exit code 0 when every link resolves and every figure matches, 1
 otherwise (one line per problem).  Run from the repository root::
@@ -149,6 +150,14 @@ def tick_cost_quotes(bench: dict) -> dict[str, list[tuple[str, list[str]]]]:
     }
 
 
+def load_ratio_quotes(bench: dict) -> dict[str, list[tuple[str, list[str]]]]:
+    """The E16 async+coalesce over threaded closed-loop throughput
+    ratio, as :func:`e17_figures` patterns keyed by path."""
+    quote = [(r"([\d.]+)x the threaded server's sustained",
+              [f"{bench['speedup_async_coalesced_vs_threaded']:.2f}"])]
+    return {"README.md": quote, "docs/service.md": quote}
+
+
 def check_figures(path: Path, bench_path: Path) -> list[str]:
     """Return one error string per E17 figure in ``path`` that is
     missing or differs from ``bench_path``."""
@@ -161,25 +170,37 @@ def check_tick_quotes(bench_path: Path) -> list[str]:
     """Return one error string per tick cost quoted outside
     docs/performance.md that is missing or differs from
     ``bench_path``."""
+    return _check_quoted(tick_cost_quotes(json.loads(bench_path.read_text())),
+                         bench_path.name)
+
+
+def check_load_quotes(bench_path: Path) -> list[str]:
+    """Return one error string per quote of the E16 ratio that is
+    missing or differs from ``bench_path``."""
+    return _check_quoted(load_ratio_quotes(json.loads(bench_path.read_text())),
+                         bench_path.name, label="E16")
+
+
+def _check_quoted(quotes: dict[str, list[tuple[str, list[str]]]],
+                  bench_name: str, label: str = "E17") -> list[str]:
     errors: list[str] = []
-    quotes = tick_cost_quotes(json.loads(bench_path.read_text()))
     for rel, patterns in quotes.items():
-        errors.extend(_check_quotes(ROOT / rel, patterns, bench_path.name))
+        errors.extend(_check_quotes(ROOT / rel, patterns, bench_name, label))
     return errors
 
 
 def _check_quotes(path: Path, quotes: list[tuple[str, list[str]]],
-                  bench_name: str) -> list[str]:
+                  bench_name: str, label: str = "E17") -> list[str]:
     rel = path.relative_to(ROOT)
     text = path.read_text(encoding="utf-8")
     errors: list[str] = []
     for pattern, expected in quotes:
         match = re.search(pattern.replace(" ", r"\s+"), text)
         if match is None:
-            errors.append(f"{rel}: E17 figure missing -> /{pattern}/ "
+            errors.append(f"{rel}: {label} figure missing -> /{pattern}/ "
                           f"(expected {', '.join(expected)})")
         elif list(match.groups()) != expected:
-            errors.append(f"{rel}: E17 figure drifted -> quotes "
+            errors.append(f"{rel}: {label} figure drifted -> quotes "
                           f"{', '.join(match.groups())}, "
                           f"{bench_name} gives {', '.join(expected)}")
     return errors
@@ -195,6 +216,7 @@ def main() -> int:
     errors.extend(check_figures(ROOT / "docs" / "performance.md",
                                 bench_sim))
     errors.extend(check_tick_quotes(bench_sim))
+    errors.extend(check_load_quotes(ROOT / "benchmarks" / "BENCH_load.json"))
     for line in errors:
         print(line)
     checked = len(doc_files())
@@ -203,7 +225,7 @@ def main() -> int:
               f"{len(errors) - links} drifted figure(s) "
               f"across {checked} files")
         return 1
-    print(f"check_docs: all links and E17 figures ok across "
+    print(f"check_docs: all links and E16/E17 figures ok across "
           f"{checked} files")
     return 0
 

@@ -58,23 +58,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-class _DeprecatedEngine(argparse.Action):
-    """``--engine`` of grid/stress/serve: accepted, ignored, and
-    announced on stderr (the executor picks the MVA engine)."""
+class _Deprecated(argparse.Action):
+    """An option that is accepted, ignored, and announced on stderr
+    until its removal; ``why`` ends the warning line."""
 
     def __init__(self, option_strings: Sequence[str], dest: str,
-                 **kwargs: object) -> None:
-        super().__init__(option_strings, dest, choices=["scalar", "batch"],
-                         help="deprecated, no effect: the MVA engine is "
-                              "picked per sweep (batch for two or more "
-                              "cells, scalar for one)", **kwargs)
+                 why: str, **kwargs: object) -> None:
+        super().__init__(option_strings, dest, **kwargs)
+        self.why = why
 
     def __call__(self, parser: argparse.ArgumentParser,
                  namespace: argparse.Namespace, values: object,
                  option_string: str | None = None) -> None:
         setattr(namespace, self.dest, values)
-        print("warning: --engine is deprecated and has no effect; the "
-              "MVA engine is picked per sweep", file=sys.stderr)
+        print(f"warning: {option_string} is deprecated and has no effect; "
+              f"{self.why}", file=sys.stderr)
+
+
+_ENGINE_OPTION = dict(
+    action=_Deprecated, choices=["scalar", "batch"],
+    why="the MVA engine is picked per sweep",
+    help="deprecated, no effect: the MVA engine is picked per sweep "
+         "(batch for two or more cells, scalar for one)")
 
 
 def _protocol_from_args(args: argparse.Namespace) -> ProtocolSpec:
@@ -446,7 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       sweep_state_dir=args.sweep_state_dir)
         if coalesce:
             service = ModelService.with_coalescer(
-                window_ms=args.coalesce_window_ms,
                 max_batch=args.max_batch, **common)
         else:
             service = ModelService(**common)
@@ -454,8 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     settings = (f"jobs={args.jobs}, front={front}, "
-                + (f"coalesce={args.coalesce_window_ms}ms/"
-                   f"{args.max_batch} cells, " if coalesce
+                + (f"coalesce={args.max_batch} cells, " if coalesce
                    else "coalesce=off, ")
                 + f"cache={args.cache or 'in-memory'}")
 
@@ -597,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort the sweep on the first failed cell "
                              "(default: isolate failures as error rows "
                              "and print a summary to stderr)")
-    p_grid.add_argument("--engine", action=_DeprecatedEngine)
+    p_grid.add_argument("--engine", **_ENGINE_OPTION)
     p_grid.add_argument("--sim-engine", choices=["scalar", "vector"],
                         default="scalar",
                         help="DES backend for --simulate rows: scalar "
@@ -667,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="system sizes per corner")
     p_stress.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the sweep")
-    p_stress.add_argument("--engine", action=_DeprecatedEngine)
+    p_stress.add_argument("--engine", **_ENGINE_OPTION)
     p_stress.add_argument("--sim-engine", choices=["scalar", "vector"],
                           default=None,
                           help="opt-in DES spot-check: also simulate "
@@ -719,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for grid sweeps")
     p_serve.add_argument("--cache",
                          help="persistent result-cache SQLite file")
-    p_serve.add_argument("--engine", action=_DeprecatedEngine)
+    p_serve.add_argument("--engine", **_ENGINE_OPTION)
     p_serve.add_argument("--sweep-state-dir",
                          help="persistent directory for async /v1/sweep "
                               "jobs (journal survives restarts)")
@@ -727,13 +730,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="asyncio front-end: thousands of concurrent "
                               "connections without one thread each "
                               "(default: threaded http.server)")
-    p_serve.add_argument("--coalesce-window-ms", type=float, default=2.0,
-                         help="how long concurrent /v1/solve cells are "
-                              "held before one vectorized batch solve "
-                              "(default: 2 ms)")
+    p_serve.add_argument(
+        "--coalesce-window-ms", action=_Deprecated, type=float,
+        help="deprecated, no effect (removed after 2027-04-01)",
+        why="the coalescer holds no batch back (removed after 2027-04-01)")
     p_serve.add_argument("--max-batch", type=_positive_int, default=256,
-                         help="queue depth that flushes a coalesced "
-                              "batch early (default: 256 cells)")
+                         help="most cells one coalesced batch solve "
+                              "takes (default: 256 cells)")
     p_serve.add_argument("--no-coalesce", action="store_true",
                          help="disable /v1/solve micro-batching (each "
                               "request solves its own cells)")

@@ -22,9 +22,9 @@ solver into infrastructure that can serve that exploration at scale:
   (:class:`SolveRequest`, :class:`GridRequest`, :class:`SweepRequest`)
   shared by the versioned and legacy endpoints;
 * :mod:`repro.service.coalesce` -- the micro-batching request
-  coalescer: concurrent ``/v1/solve`` cells are held for a ~2 ms window
-  and solved by one vectorized batch call, with in-flight dedup and
-  per-cell error fan-out;
+  coalescer: concurrent ``/v1/solve`` cells queue while the solver is
+  busy and are solved by one vectorized batch call as soon as it is
+  free, with in-flight dedup and per-cell error fan-out;
 * :mod:`repro.service.app`      -- the transport-agnostic service
   facade (solve / grid / sweep / jobs / capabilities / verify /
   health / metrics);

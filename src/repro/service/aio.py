@@ -12,8 +12,8 @@ requests wait:
   the request's cells are submitted to the shared coalescing queue and
   the handler ``await``\\ s the batch futures (``asyncio.wrap_future``),
   so ten thousand in-flight solves cost ten thousand coroutines -- not
-  ten thousand threads -- while the flusher stacks their cells into one
-  vectorized ``solve_batch`` call.
+  ten thousand threads; the loop solves their cells itself, as one
+  vectorized ``solve_batch`` call, whenever it has nothing else ready.
 * Everything else (grid, sweep, verify, and solve without a coalescer)
   runs in the default thread-pool executor via ``run_in_executor``, so
   a long sweep cannot stall the accept loop.
@@ -26,6 +26,7 @@ still lands in the shared cache.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import logging
 import threading
 import time
@@ -75,6 +76,7 @@ class AsyncServiceServer:
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
+        self._drain_due = False
 
     async def start(self) -> None:
         # The StreamReader buffer limit backs the per-line cap: readline
@@ -212,8 +214,8 @@ class AsyncServiceServer:
         """The native path: submit cells, await the batch, render.
 
         Submission is non-blocking (cache lookup + queue append); the
-        actual solve happens on the coalescer's flusher thread while
-        this coroutine -- and thousands of siblings -- just await.
+        solve happens in the loop's next drain while this coroutine --
+        and thousands of siblings -- just await.
         """
         service = self.service
         coalescer = service.coalescer
@@ -223,8 +225,15 @@ class AsyncServiceServer:
             request, tasks = service.solve_prepare(payload, strict=True)
             started = time.perf_counter()
             future, cached_flags = coalescer.submit_request(tasks)
-            values = (future.result() if future.done()
-                      else await asyncio.wrap_future(future))
+            if future.done():
+                values = future.result()
+            else:
+                if not self._drain_due:
+                    self._drain_due = True
+                    asyncio.get_running_loop().call_later(
+                        0, self._drain_when_idle,
+                        context=contextvars.Context())
+                values = await asyncio.wrap_future(future)
             result = collect_sweep_result(
                 tasks, dict(enumerate(values)), cached_flags,
                 wall_seconds=time.perf_counter() - started,
@@ -239,6 +248,28 @@ class AsyncServiceServer:
             _LOG.exception("unhandled error in coalesced solve")
             return error_response(
                 ServiceError(500, f"internal error: {exc}"))
+
+    def _drain_when_idle(self) -> None:
+        """Drain the coalescer once the loop has nothing else ready
+        (or a full batch is queued): a request whose bytes have arrived
+        then joins this batch instead of waiting out the solve.  It
+        serves many requests, so it runs in a context of its own.
+
+        The check and each retry are zero-delay timers, which the loop
+        runs after its I/O callbacks and never counts as ready work, so
+        two servers sharing a loop cannot keep deferring to each other.
+        """
+        loop = asyncio.get_running_loop()
+        coalescer = self.service.coalescer
+        assert coalescer is not None
+        # asyncio has no public "anything ready?" query; ``_ready`` is
+        # the stdlib loop's callback deque (other loops drain at once).
+        if (getattr(loop, "_ready", None)
+                and coalescer.depth < coalescer.max_batch):
+            loop.call_later(0, self._drain_when_idle)
+            return
+        self._drain_due = False
+        coalescer.drain()
 
     @staticmethod
     async def _write(writer: asyncio.StreamWriter, response: Response,

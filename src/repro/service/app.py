@@ -29,7 +29,7 @@ from typing import Any
 
 from repro import __version__
 from repro.service.cache import ResultCache
-from repro.service.coalesce import SolveCoalescer
+from repro.service.coalesce import DEFAULT_MAX_BATCH, SolveCoalescer
 from repro.service.executor import (
     CellTask,
     SweepExecutor,
@@ -97,25 +97,19 @@ class ModelService:
 
     @classmethod
     def with_coalescer(cls, cache: ResultCache | None = None,
-                       window_ms: float | None = None,
-                       max_batch: int | None = None,
+                       max_batch: int = DEFAULT_MAX_BATCH,
                        **kwargs: Any) -> "ModelService":
         """A service whose ``/v1/solve`` cells go through a
         :class:`SolveCoalescer` sharing its cache and metrics."""
         cache = cache if cache is not None else ResultCache()
         metrics = kwargs.pop("metrics", None) or MetricsRegistry()
-        coalesce_args: dict[str, Any] = {}
-        if window_ms is not None:
-            coalesce_args["window_ms"] = window_ms
-        if max_batch is not None:
-            coalesce_args["max_batch"] = max_batch
         coalescer = SolveCoalescer(cache=cache, metrics=metrics,
-                                   **coalesce_args)
+                                   max_batch=max_batch)
         return cls(cache=cache, metrics=metrics, coalescer=coalescer,
                    **kwargs)
 
     def close(self) -> None:
-        """Stop the coalescer's flusher thread (if any) and flush."""
+        """Drain the coalescer (if any) and flush the cache."""
         if self.coalescer is not None:
             self.coalescer.close()
         self.cache.flush()
@@ -157,8 +151,9 @@ class ModelService:
 
         See :class:`repro.service.schema.SolveRequest` for the request
         schema.  With a :class:`SolveCoalescer` attached the cells join
-        the shared micro-batching queue (blocking this thread until the
-        batch resolves); the response is identical either way.
+        the shared micro-batching queue and this thread blocks until
+        they are solved, draining the queue itself unless another
+        drain answers first; the response is identical either way.
         """
         request, tasks = self.solve_prepare(payload, strict=strict)
         if self.coalescer is None:
@@ -166,8 +161,9 @@ class ModelService:
             return self.solve_response(request, result)
         started = time.perf_counter()
         future, cached_flags = self.coalescer.submit_request(tasks)
+        values = self.coalescer.result(future)
         result = collect_sweep_result(
-            tasks, dict(enumerate(future.result())), cached_flags,
+            tasks, dict(enumerate(values)), cached_flags,
             wall_seconds=time.perf_counter() - started,
             jobs=1, mode="coalesced")
         return self.solve_response(request, result)
@@ -318,7 +314,6 @@ class ModelService:
         )
         coalesce: dict[str, Any] = {"enabled": self.coalescer is not None}
         if self.coalescer is not None:
-            coalesce["window_ms"] = self.coalescer.window_ms
             coalesce["max_batch"] = self.coalescer.max_batch
         return {
             "api_version": API_VERSION,

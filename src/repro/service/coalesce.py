@@ -4,13 +4,21 @@ The batch MVA engine solves a whole grid of cells in one vectorized
 fixed point at a fraction of the per-cell scalar cost -- but an HTTP
 front-end that answers one request at a time never hands it more than a
 request's own cells.  :class:`SolveCoalescer` closes that gap: cells
-submitted by concurrent requests are parked in a queue for a short
-window (``window_ms``, default 2 ms) and then solved together by
+submitted by concurrent requests queue while a batch solves and are
+solved together by the next :meth:`~SolveCoalescer.drain` with
 :func:`repro.service.executor.solve_cells` -- one
 :func:`~repro.service.executor.evaluate_mva_batch` call for two or more
 MVA cells, the executor's own engine rule -- with per-cell
 results (and per-cell *errors* -- a poison cell only fails its own
 waiter) fanned back through one future per submission.
+
+Like the paper's bus, the queue is a work-conserving server: no batch
+is held back while the solver is idle, so batches grow with load and a
+lone request pays no hold time.  The asyncio front-end drains on its
+event loop whenever the loop has nothing else ready; a blocking caller
+(the threaded server, scripts, tests) drains in
+:meth:`~SolveCoalescer.result` unless a drain already answered its
+future.
 
 Guarantees:
 
@@ -18,10 +26,10 @@ Guarantees:
   solve produces: the batch engine is byte-identical to the scalar path
   (``repro.verify``'s differential oracle), failure payloads are the
   same shape, and the cache value written is the same dict either way.
-* **Flush triggers** -- a batch flushes when the *oldest* queued cell
-  has waited ``window_ms`` ("window"), when ``max_batch`` cells are
-  queued ("max-batch"), or at shutdown ("close"); the reason is
-  recorded in ``repro_coalesce_flushes_total{reason=...}``.
+* **Flush reasons** -- a batch of what was queued is a "window" flush;
+  a batch cut at ``max_batch`` cells with more queued is "max-batch";
+  the drain at shutdown is "close".  The reason is recorded in
+  ``repro_coalesce_flushes_total{reason=...}``.
 * **In-flight dedup** -- a cell whose key is already queued attaches a
   second future to the pending entry instead of a second solve
   (``repro_coalesce_deduped_total``); the content-addressed
@@ -34,14 +42,16 @@ Guarantees:
   a deduped twin of the same cell -- are untouched.
 
 The futures are plain ``concurrent.futures`` ones so both front-ends
-share this one coalescer: the threaded server blocks on ``.result()``,
-the asyncio server awaits ``asyncio.wrap_future(...)`` -- one loop
-callback per request when its batch lands, not one per cell.
+share this one coalescer: the threaded server blocks in
+:meth:`~SolveCoalescer.result`, the asyncio server awaits
+``asyncio.wrap_future(...)`` -- one loop callback per request when its
+batch lands, not one per cell.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from collections.abc import Sequence
@@ -60,13 +70,10 @@ from repro.service.metrics import DEFAULT_BATCH_BUCKETS, MetricsRegistry
 
 _LOG = logging.getLogger(__name__)
 
-#: Default hold window before a lone batch flushes (milliseconds).
-DEFAULT_WINDOW_MS = 2.0
-
-#: Default cell count that flushes a batch early.
+#: Default cap on the cells of one batch solve.
 DEFAULT_MAX_BATCH = 256
 
-#: The flush triggers (label values of ``repro_coalesce_flushes_total``).
+#: The flush reasons (label values of ``repro_coalesce_flushes_total``).
 FLUSH_REASONS = ("window", "max-batch", "close")
 
 
@@ -87,8 +94,7 @@ class _Waiter:
         self.values: list[dict[str, Any] | None] = [None] * size
         self.missing = size
         self.unwrap = unwrap
-        # The submitting thread (cache hits, post-close inline cells) and
-        # the flusher thread (batch results) may deliver to one waiter
+        # The submitting thread (cache hits) and a draining thread (batch results) may deliver to one waiter
         # concurrently; the read-modify-write on ``missing`` must not
         # lose a decrement or the future never resolves.
         self._lock = threading.Lock()
@@ -127,13 +133,8 @@ class SolveCoalescer:
         ``repro_coalesce_*`` families plus the shared per-cell solve /
         failure / cache metrics, so a coalesced cell is indistinguishable
         from an executor cell on a dashboard.
-    window_ms:
-        How long the oldest queued cell may wait before the batch
-        flushes.  The latency floor a lone request pays for the
-        throughput ceiling concurrent requests gain.
     max_batch:
-        Queue depth that flushes immediately without waiting out the
-        window.
+        Most cells one batch solve takes.
     sim_retries:
         Retry budget for simulation cells (solved inside the flush by
         the same engine rule as the MVA cells).
@@ -141,20 +142,19 @@ class SolveCoalescer:
 
     def __init__(self, cache: ResultCache | None = None,
                  metrics: MetricsRegistry | None = None,
-                 window_ms: float = DEFAULT_WINDOW_MS,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  sim_retries: int = 2):
-        if window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0, got {window_ms!r}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
         self.cache = cache
         self.metrics = metrics
-        self.window_ms = float(window_ms)
         self.max_batch = max_batch
         self.sim_retries = sim_retries
+        # ``_lock`` guards the queue; ``_drain_lock`` lets one drain run
+        # at a time, so a caller that waits for it finds its cells
+        # either solved or still queued, never half-taken.
         self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
+        self._drain_lock = threading.RLock()
         self._queue: list[_Pending] = []
         self._by_key: dict[str, _Pending] = {}
         self._closed = False
@@ -163,9 +163,6 @@ class SolveCoalescer:
         self._batch_cells = 0
         self._deduped = 0
         self._wait_seconds = 0.0
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="repro-coalescer", daemon=True)
-        self._flusher.start()
 
     # -- submission ------------------------------------------------------
 
@@ -179,8 +176,9 @@ class SolveCoalescer:
         it into an error row exactly like the executor does).  Cells
         already in the cache resolve their slot immediately and are
         flagged ``True``; with every cell cached the future is already
-        resolved on return.  One lock acquisition and at most one
-        flusher wake-up per request, regardless of cell count.
+        resolved on return.  One lock acquisition per request,
+        regardless of cell count; the queued cells wait for the next
+        :meth:`drain`.
         """
         waiter = _Waiter(len(tasks), unwrap=unwrap)
         if not tasks:
@@ -199,44 +197,33 @@ class SolveCoalescer:
                 misses.append((slot, task))
         self._count_lookups(hits=len(resolved), misses=len(misses))
         # Deliver cache hits before the misses are queued: once a miss
-        # is visible to the flusher it may deliver to this waiter from
+        # is visible to a drain it may deliver to this waiter from
         # its own thread (deliver is lock-protected, but the hit slots
         # have no reason to contend).
         for slot, value in resolved:
             waiter.deliver(slot, value)
         deduped = 0
-        inline: list[tuple[int, CellTask]] = []
         with self._lock:
-            if self._closed:
-                # Late submission during shutdown: solve inline rather
-                # than strand the waiter.
-                inline = misses
-            else:
-                now = time.monotonic()
-                enqueued = 0
-                for slot, task in misses:
-                    pending = self._by_key.get(task.key)
-                    if pending is None:
-                        pending = _Pending(task=task, enqueued_at=now)
-                        self._queue.append(pending)
-                        self._by_key[task.key] = pending
-                        enqueued += 1
-                    else:
-                        deduped += 1
-                    pending.waiters.append((waiter, slot))
-                if enqueued:
-                    self._set_depth(len(self._queue))
-                    self._wake.notify_all()
+            now = time.monotonic()
+            enqueued = 0
+            for slot, task in misses:
+                pending = self._by_key.get(task.key)
+                if pending is None:
+                    pending = _Pending(task=task, enqueued_at=now)
+                    self._queue.append(pending)
+                    self._by_key[task.key] = pending
+                    enqueued += 1
+                else:
+                    deduped += 1
+                pending.waiters.append((waiter, slot))
+            if enqueued:
+                self._set_depth(len(self._queue))
             self._deduped += deduped
         if deduped and self.metrics is not None:
             self.metrics.counter(
                 "repro_coalesce_deduped_total",
                 "Cells answered by attaching to an identical "
                 "in-flight cell.").inc(deduped)
-        if inline:
-            values = self._evaluate([task for _, task in inline])
-            for (slot, _), value in zip(inline, values):
-                waiter.deliver(slot, value)
         return waiter.future, cached
 
     def submit(self, task: CellTask) -> tuple[Future, bool]:
@@ -248,27 +235,50 @@ class SolveCoalescer:
         future, cached = self.submit_request([task], unwrap=True)
         return future, cached[0]
 
-    def submit_all(self, tasks: Sequence[CellTask]
-                   ) -> tuple[list[Future], list[bool]]:
-        """Queue cells with one future *each* (fan-out callers that
-        consume results cell-by-cell; request handlers should prefer
-        the single-future :meth:`submit_request`)."""
-        futures: list[Future] = []
-        cached: list[bool] = []
-        for task in tasks:
-            future, was_cached = self.submit(task)
-            futures.append(future)
-            cached.append(was_cached)
-        return futures, cached
+    def result(self, future: Future) -> Any:
+        """Return ``future``'s value, draining the queue on this thread
+        unless another drain answers it first (requests that queue
+        meanwhile wait here and then make up the next batch)."""
+        with self._drain_lock:
+            if not future.done():
+                self.drain()
+        return future.result()
+
+    def drain(self) -> None:
+        """Solve every cell queued when the call starts, at most
+        ``max_batch`` cells per batch."""
+        with self._drain_lock:
+            for _ in range(math.ceil(len(self._queue) / self.max_batch)):
+                with self._lock:
+                    reason = ("max-batch" if len(self._queue) >= self.max_batch
+                              else "close" if self._closed else "window")
+                    batch = self._queue[:self.max_batch]
+                    del self._queue[:self.max_batch]
+                    for entry in batch:
+                        self._by_key.pop(entry.task.key, None)
+                    self._set_depth(len(self._queue))
+                # Per-cell failures are already error payloads; anything
+                # else fails only this batch, never strands its waiters.
+                try:
+                    self._solve(batch, reason)
+                except Exception as exc:  # noqa: BLE001 - fail the batch
+                    _LOG.exception("coalesced batch flush failed; "
+                                   "delivering error payloads to %d cells",
+                                   len(batch))
+                    self._fail_batch(batch, exc)
 
     def close(self) -> None:
-        """Flush whatever is queued and stop the flusher thread."""
+        """Drain what is queued; every later batch is labelled "close"."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._wake.notify_all()
-        self._flusher.join(timeout=10)
+        self.drain()
+
+    @property
+    def depth(self) -> int:
+        """Cells queued for the next drain."""
+        return len(self._queue)
 
     def stats(self) -> dict[str, Any]:
         """Lifetime batching totals (for benchmarks and capabilities)."""
@@ -285,47 +295,6 @@ class SolveCoalescer:
             "mean_wait_ms": 1000.0 * wait / cells if cells else 0.0,
         }
 
-    # -- the flusher thread ----------------------------------------------
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._closed:
-                    self._wake.wait()
-                if not self._queue:
-                    return  # closed and drained
-                reason = self._await_trigger()
-                batch = self._queue[:self.max_batch]
-                del self._queue[:self.max_batch]
-                for entry in batch:
-                    self._by_key.pop(entry.task.key, None)
-                self._set_depth(len(self._queue))
-            # The flusher is a singleton: an escaped exception here
-            # would strand this batch's waiters AND hang every later
-            # request behind a dead thread.  Per-cell failures are
-            # already error payloads; anything else fails only this
-            # batch and the loop lives on.
-            try:
-                self._solve(batch, reason)
-            except Exception as exc:  # noqa: BLE001 - keep flusher alive
-                _LOG.exception("coalesced batch flush failed; "
-                               "delivering error payloads to %d cells",
-                               len(batch))
-                self._fail_batch(batch, exc)
-
-    def _await_trigger(self) -> str:
-        """Hold the lock until a flush trigger fires; returns the reason."""
-        while True:
-            if len(self._queue) >= self.max_batch:
-                return "max-batch"
-            if self._closed:
-                return "close"
-            remaining = (self._queue[0].enqueued_at
-                         + self.window_ms / 1000.0) - time.monotonic()
-            if remaining <= 0:
-                return "window"
-            self._wake.wait(timeout=remaining)
-
     def _solve(self, batch: list[_Pending], reason: str) -> None:
         flushed_at = time.monotonic()
         waited = [flushed_at - entry.enqueued_at for entry in batch]
@@ -337,8 +306,7 @@ class SolveCoalescer:
 
     def _evaluate(self, tasks: list[CellTask]) -> list[dict[str, Any]]:
         """Solve cells, record their metrics and cache the solved ones;
-        returns the values in task order (the flusher and the
-        post-close inline path)."""
+        returns the values in task order."""
         by_position: dict[int, dict[str, Any]] = {}
         for positions, group in solve_cells(tasks, self.sim_retries):
             by_position.update(zip(positions, group))
@@ -355,7 +323,7 @@ class SolveCoalescer:
             # moment its response lands hits the cache, not the queue.
             # A cache-write failure (disk full, bad --cache path) must
             # not take the values down with it: serve the cells
-            # uncached and keep the flusher alive.
+            # uncached.
             try:
                 self.cache.put_many(
                     (task.key, value) for task, value in solved)
@@ -402,7 +370,7 @@ class SolveCoalescer:
         if self.metrics is not None:
             self.metrics.gauge(
                 "repro_coalesce_queue_depth",
-                "Cells currently parked awaiting a batch flush.",
+                "Cells currently queued for the next batch.",
             ).set(depth)
 
     def _record_flush(self, batch: list[_Pending], reason: str,
@@ -415,7 +383,7 @@ class SolveCoalescer:
             return
         self.metrics.counter(
             "repro_coalesce_flushes_total",
-            "Batch flushes by trigger.").labels(reason=reason).inc()
+            "Batch flushes by reason.").labels(reason=reason).inc()
         self.metrics.histogram(
             "repro_coalesce_batch_cells",
             "Cells per coalesced batch flush.",

@@ -710,8 +710,8 @@ def record_solve_metrics_batch(
     executor cell on a dashboard).
 
     The registry/label lookups are paid once per call instead of once
-    per cell, which matters on the coalescer's flusher thread where a
-    batch is hundreds of cells.
+    per cell, which matters in a coalescer drain where a batch is
+    hundreds of cells.
     """
     if metrics is None or not solved:
         return

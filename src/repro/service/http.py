@@ -14,8 +14,8 @@ hundred concurrent clients, while the async front-end holds thousands
 of connections and feeds the same :class:`repro.service.coalesce
 .SolveCoalescer` without a thread each.  When the bound service has a
 coalescer attached, this threaded server uses it too -- each handler
-thread blocks on its batch future -- so the two fronts stay
-byte-identical per response.
+thread drains the queue or waits for the drain that solves its cells
+-- so the two fronts stay byte-identical per response.
 """
 
 from __future__ import annotations

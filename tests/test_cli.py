@@ -178,9 +178,20 @@ class TestGridServiceFlags:
         assert args.cache is None
         assert args.engine is None  # deprecated, no effect
         assert getattr(args, "async") is False
-        assert args.coalesce_window_ms == 2.0
+        assert args.coalesce_window_ms is None  # deprecated, no effect
         assert args.max_batch == 256
         assert args.no_coalesce is False
+
+    def test_serve_coalesce_window_is_deprecated(self, capsys):
+        """--coalesce-window-ms is accepted and ignored until its
+        sunset, with one stderr line."""
+        args = build_parser().parse_args(
+            ["serve", "--coalesce-window-ms", "5"])
+        assert args.coalesce_window_ms == 5.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--coalesce-window-ms is deprecated" in err
+        assert "2027-04-01" in err
 
 
 class TestEngineFlag:

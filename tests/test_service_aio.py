@@ -9,6 +9,7 @@ parity of its responses with the threaded server's.
 """
 
 import json
+import re
 import socket
 import threading
 import urllib.error
@@ -16,12 +17,17 @@ import urllib.request
 
 import pytest
 
-from repro.service import ModelService, start_async_server, start_server
+from repro.service import (
+    ModelService,
+    SolveCoalescer,
+    start_async_server,
+    start_server,
+)
 
 
 @pytest.fixture()
 def handle():
-    service = ModelService.with_coalescer(window_ms=5)
+    service = ModelService.with_coalescer()
     handle = start_async_server(service)
     yield handle
     handle.shutdown()
@@ -45,6 +51,53 @@ def _post(url, path, body):
             return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+def _read_response(sock) -> tuple[bytes, bytes]:
+    """Read one HTTP response (head, body) off a keep-alive socket."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-body"
+        body += chunk
+    return head, body
+
+
+def _solve_in_one_iteration(handle, bodies):
+    """POST each body on its own open connection while the event loop
+    is blocked, so every request's bytes are there when the loop next
+    polls its sockets: they are read in one loop iteration."""
+    address = (handle.server.host, handle.server.port)
+    socks = [socket.create_connection(address, timeout=30)
+             for _ in bodies]
+    try:
+        for sock in socks:  # accepted and idle before the loop blocks
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            _read_response(sock)
+        blocked, release = threading.Event(), threading.Event()
+
+        def block():
+            blocked.set()
+            release.wait(30)
+
+        handle._loop.call_soon_threadsafe(block)
+        assert blocked.wait(30)
+        for sock, body in zip(socks, bodies):
+            data = json.dumps(body).encode()
+            sock.sendall(b"POST /v1/solve HTTP/1.1\r\n"
+                         b"Content-Length: %d\r\n\r\n%s"
+                         % (len(data), data))
+        release.set()
+        return [_read_response(sock) for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 def _raw_request(handle, payload: bytes) -> bytes:
@@ -188,7 +241,7 @@ class TestTransport:
         sock = socket.create_connection(
             (handle.server.host, handle.server.port), timeout=10)
         sock.sendall(request)
-        sock.close()  # gone before the window elapses
+        sock.close()  # gone before its batch is solved
         status, raw = _post(handle.url, "/v1/solve",
                             {"protocol": "synapse", "n": 24})
         assert status == 200
@@ -197,30 +250,40 @@ class TestTransport:
 
 class TestConcurrency:
     def test_many_concurrent_solves_batch_together(self, handle):
-        results = {}
-
-        def worker(n):
-            status, raw = _post(handle.url, "/v1/solve",
-                                {"protocol": "illinois", "n": n})
-            results[n] = (status, json.loads(raw))
-
         sizes = list(range(2, 18, 2))
-        threads = [threading.Thread(target=worker, args=(n,))
-                   for n in sizes]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert all(results[n][0] == 200 for n in sizes)
+        responses = _solve_in_one_iteration(
+            handle, [{"protocol": "illinois", "n": n} for n in sizes])
+        for (head, body), n in zip(responses, sizes):
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert json.loads(body)["results"][0]["n_processors"] == n
         stats = handle.service.coalescer.stats()
-        assert stats["cells"] >= len(sizes)
+        assert stats["cells"] == len(sizes)
         assert stats["batches"] < stats["cells"]
+
+    def test_requests_read_in_one_iteration_share_one_batch(
+            self, handle, monkeypatch):
+        """The loop drains once the requests it read have queued: no
+        timer, yet two requests that arrive together share a batch."""
+        batches = []
+        real = SolveCoalescer._solve
+
+        def recording(self, batch, reason):
+            batches.append(sorted(entry.task.n for entry in batch))
+            return real(self, batch, reason)
+
+        monkeypatch.setattr(SolveCoalescer, "_solve", recording)
+        responses = _solve_in_one_iteration(
+            handle, [{"protocol": "dragon", "n": 3},
+                     {"protocol": "dragon", "n": 5}])
+        assert all(head.startswith(b"HTTP/1.1 200 ")
+                   for head, _ in responses)
+        assert batches == [[3, 5]]
 
 
 class TestParityWithThreadedServer:
     def test_same_bytes_modulo_operational_fields(self):
         body = {"protocol": "write-once", "n": [2, 8], "sharing": "1"}
-        async_service = ModelService.with_coalescer(window_ms=5)
+        async_service = ModelService.with_coalescer()
         async_handle = start_async_server(async_service)
         threaded_service = ModelService()
         threaded = start_server(threaded_service)

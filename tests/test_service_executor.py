@@ -421,10 +421,10 @@ def _solve_through_queue(task):
 
 
 def _solve_through_coalescer(task):
-    coalescer = SolveCoalescer(window_ms=1)
+    coalescer = SolveCoalescer()
     try:
         future, _ = coalescer.submit(task)
-        return future.result(timeout=10)["cell"]
+        return coalescer.result(future)["cell"]
     finally:
         coalescer.close()
 

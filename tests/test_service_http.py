@@ -322,11 +322,10 @@ class TestCapabilities:
         assert "/v1/capabilities" in payload["endpoints"]["get"]
 
     def test_capabilities_report_coalescing_settings(self):
-        service = ModelService.with_coalescer(window_ms=1.5, max_batch=32)
+        service = ModelService.with_coalescer(max_batch=32)
         try:
             coalesce = service.capabilities()["coalesce"]
-            assert coalesce == {"enabled": True, "window_ms": 1.5,
-                                "max_batch": 32}
+            assert coalesce == {"enabled": True, "max_batch": 32}
         finally:
             service.close()
 
