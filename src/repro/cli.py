@@ -58,6 +58,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
+    return value
+
+
 class _Deprecated(argparse.Action):
     """An option that is accepted, ignored, and announced on stderr
     until its removal; ``why`` ends the warning line."""
@@ -310,8 +317,8 @@ def _grid_protocols(args: argparse.Namespace) -> list[ProtocolSpec]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.grid import GridCell, GridSpec, to_csv, to_json
-    from repro.service import ResultCache, tasks_for_spec
+    from repro.analysis.grid import GridSpec, to_csv, to_json
+    from repro.service import ResultCache, collect_sweep_result, tasks_for_spec
     from repro.sweepq import SweepQueue, UnknownJobError
 
     cache_path = args.cache
@@ -361,25 +368,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         queue.close()
 
-    cells = []
-    failed = 0
-    for task, value in zip(tasks, outcome.values):
-        error = value.get("error")
-        if error is not None:
-            failed += 1
-            cells.append(GridCell.failed(
-                protocol=task.protocol.label, sharing=task.sharing_label,
-                n_processors=task.n, method=task.method,
-                error=f"{error.get('type', 'Exception')}: "
-                      f"{error.get('message', '')}"))
-        else:
-            cells.append(GridCell(**value["cell"]))
+    result = collect_sweep_result(
+        tasks, dict(enumerate(outcome.values)), outcome.cached,
+        wall_seconds=outcome.wall_seconds, jobs=outcome.workers,
+        mode=outcome.mode)
+    cells, failed = result.cells, result.summary.failed
     counters = outcome.counters
     recovery = (f", {counters['requeues']} requeued"
                 if counters["requeues"] else "")
     print(f"sweep job {job_id}: {counters['done']}/{counters['chunks']} "
           f"chunks done ({counters['cells_done']} cells, "
-          f"{sum(outcome.cached)} from cache{recovery}); "
+          f"{result.summary.cache_hits} from cache{recovery}); "
           f"{outcome.wall_seconds:.3f}s wall, workers={outcome.workers} "
           f"({outcome.mode}), workers_used={counters['workers_used']}",
           file=sys.stderr)
@@ -689,8 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tier", choices=["quick", "full"],
                           default="quick",
                           help="quick: the <60s CI push gate; full: "
-                               "deeper model checking, larger DES "
-                               "samples, stress corners")
+                               "larger DES samples, stress corners")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the structured violation report as "
                                "JSON instead of text")
@@ -716,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(POST /v1/solve, POST /v1/grid, "
                                   "GET /v1/healthz, GET /v1/metrics)")
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8321,
+    p_serve.add_argument("--port", type=_port, default=8321,
                          help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for grid sweeps")

@@ -11,8 +11,8 @@ package provides:
   (valid, exclusive, wback) of Section 2.1;
 * :mod:`~repro.protocols.transactions` -- the five bus transaction types;
 * :mod:`~repro.protocols.machine` -- an executable block-level state
-  machine for any modification combination (used by the simulator's
-  consistency checks and by the protocol unit tests);
+  machine for any modification combination (proved over its reachable
+  configurations by ``repro verify`` and walked by the unit tests);
 * :mod:`~repro.protocols.family` -- the named protocols (Write-Once,
   Synapse, Illinois, Berkeley, RWB, Dragon) mapped onto modification
   sets.

@@ -5,16 +5,17 @@ cache block, it tracks the state held by each of N caches plus whether
 main memory is up to date, and applies processor reads/writes and
 replacements under any modification combination.
 
-The machine is the *semantic reference* for the family: the protocol
-unit tests and hypothesis property tests check the paper's invariants
-against it (single-writer, exclusive-implies-others-invalid,
-wback-implies-exclusive in the absence of modification 2, ...), and the
-simulator's snoop accounting mirrors its :class:`SnoopResult` taxonomy.
+The machine is the *semantic reference* for the family: it asserts the
+paper's state laws (:meth:`CoherenceMachine.laws`) after every
+transition, ``repro verify`` proves them over every reachable
+configuration, and the simulator's snoop accounting mirrors its
+:class:`SnoopResult` taxonomy.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.protocols.modifications import Modification, ProtocolSpec
@@ -47,10 +48,6 @@ class SnoopResult:
     bus_ops: tuple[BusOp, ...]
     actions: dict[int, SnoopAction] = field(default_factory=dict)
     memory_supplied: bool = False
-
-    @property
-    def used_bus(self) -> bool:
-        return bool(self.bus_ops)
 
 
 class CoherenceMachine:
@@ -169,24 +166,25 @@ class CoherenceMachine:
 
     def _first_write_through(self, cache_id: int) -> SnoopResult:
         """Write to a non-exclusive block: write-word or invalidate."""
+        # Read before invalidating: the owner may be another cache.
+        owned = self.owner() is not None
         actions = {i: SnoopAction.INVALIDATE
                    for i in self.holders() if i != cache_id}
         for i in actions:
             self.states[i] = BlockState.INVALID
-        was_wback = self.states[cache_id].wback
         if self._has(Modification.INVALIDATE_INSTEAD_OF_WRITE_WORD):
             # Memory is not updated, so the block is dirty from here on.
             self.states[cache_id] = BlockState.EXCLUSIVE_WBACK
             self.memory_fresh = False
             bus_op = BusOp.INVALIDATE
         else:
-            # Write-Once: the word goes through to memory.  If the block
-            # carried shared-dirty ownership (possible only with
-            # modification 2), other words are still stale in memory, so
-            # wback duty is retained.
-            self.states[cache_id] = (BlockState.EXCLUSIVE_WBACK if was_wback
+            # Write-Once: the word goes through to memory.  If any cache
+            # owned the block (shared-dirty, possible only with
+            # modification 2), its other words are still stale in memory,
+            # so the writer takes over the write-back duty.
+            self.states[cache_id] = (BlockState.EXCLUSIVE_WBACK if owned
                                      else BlockState.EXCLUSIVE_CLEAN)
-            self.memory_fresh = not was_wback
+            self.memory_fresh = not owned
             bus_op = BusOp.WRITE_WORD
         return SnoopResult(bus_ops=(bus_op,), actions=actions)
 
@@ -240,25 +238,25 @@ class CoherenceMachine:
 
     # -- invariants ---------------------------------------------------------
 
+    def laws(self) -> Iterator[tuple[str, bool, str]]:
+        """The Section 2.1/2.2 state laws as ``(law, holds, statement)``."""
+        owners = sum(s.wback for s in self.states)
+        yield "single-owner", owners <= 1, "at most one write-back owner"
+        yield ("exclusive-means-alone",
+               not any(s.exclusive for s in self.states)
+               or len(self.holders()) == 1,
+               "an exclusive copy has no co-holders")
+        yield ("no-shared-dirty",
+               BlockState.SHARED_WBACK not in self.states
+               or self._has(Modification.CACHE_TO_CACHE_SUPPLY)
+               or (self._has(Modification.WRITE_BROADCAST)
+                   and self._has(Modification.INVALIDATE_INSTEAD_OF_WRITE_WORD)),
+               "shared-dirty ownership only under modification 2 or 3+4")
+        yield ("memory-freshness", self.memory_fresh != bool(owners),
+               "memory is stale exactly when some cache owns the block")
+
     def _check_invariants(self) -> None:
-        owners = [i for i, s in enumerate(self.states) if s.wback]
-        assert len(owners) <= 1, f"multiple write-back owners: {owners}"
-        for i, s in enumerate(self.states):
-            if s.exclusive:
-                others = [j for j in self.holders() if j != i]
-                assert not others, (
-                    f"cache {i} exclusive but {others} hold copies")
-        if not self._has(Modification.CACHE_TO_CACHE_SUPPLY) and not (
-                self._has(Modification.WRITE_BROADCAST)
-                and self._has(Modification.INVALIDATE_INSTEAD_OF_WRITE_WORD)):
-            for i, s in enumerate(self.states):
-                assert not (s.wback and not s.exclusive), (
-                    f"cache {i} shared-dirty without modification 2 "
-                    f"or 3+4: {s}")
-        if owners:
-            # A wback holder means the block is modified relative to memory.
-            assert not self.memory_fresh, (
-                f"cache {owners[0]} holds wback but memory is marked fresh")
-        else:
-            # No owner anywhere: memory must hold the current value.
-            assert self.memory_fresh, "no wback owner but memory is stale"
+        for law, holds, statement in self.laws():
+            assert holds, (f"{law}: {statement} (states "
+                           f"{[s.name for s in self.states]}, "
+                           f"memory_fresh={self.memory_fresh})")

@@ -105,11 +105,6 @@ class ProtocolSpec:
         return ProtocolSpec(mods=self.mods | extra)
 
     @property
-    def is_write_update(self) -> bool:
-        """True when writes broadcast updates instead of invalidating."""
-        return Modification.WRITE_BROADCAST in self.mods
-
-    @property
     def is_practical(self) -> bool:
         """Section 2.2: modification 4 alone degenerates to write-through,
         so it "is only practical when implemented together with

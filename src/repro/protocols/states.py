@@ -36,33 +36,20 @@ class BlockState(enum.Enum):
     EXCLUSIVE_CLEAN = StateBits(valid=True, exclusive=True, wback=False)
     EXCLUSIVE_WBACK = StateBits(valid=True, exclusive=True, wback=True)
 
-    @property
-    def bits(self) -> StateBits:
-        """The raw three bits backing this state."""
-        return self.value
-
-    @property
-    def valid(self) -> bool:
-        return self.value.valid
-
-    @property
-    def exclusive(self) -> bool:
-        """The cache *knows* it holds the only copy."""
-        return self.value.exclusive
-
-    @property
-    def wback(self) -> bool:
-        """The block must be written back to memory when purged."""
-        return self.value.wback
-
-    @property
-    def writable_without_bus(self) -> bool:
-        """A processor write can proceed with no bus operation.
-
-        True exactly for the exclusive states: writes to non-exclusive
-        blocks must notify the other caches.
-        """
-        return self.value.valid and self.value.exclusive
+    def __init__(self, bits: StateBits) -> None:
+        # Plain attributes, not properties: the protocol machine and the
+        # reachability proof read them on every transition.
+        #: The raw three bits backing this state.
+        self.bits = bits
+        self.valid = bits.valid
+        #: The cache *knows* it holds the only copy.
+        self.exclusive = bits.exclusive
+        #: The block must be written back to memory when purged.
+        self.wback = bits.wback
+        #: A processor write can proceed with no bus operation: true
+        #: exactly for the exclusive states, since writes to
+        #: non-exclusive blocks must notify the other caches.
+        self.writable_without_bus = bits.valid and bits.exclusive
 
     @classmethod
     def from_bits(cls, valid: bool, exclusive: bool, wback: bool) -> "BlockState":

@@ -27,17 +27,3 @@ class BusOp(enum.Enum):
     #: Write a modified block back to main memory.
     WRITE_BLOCK = "write-block"
 
-    @property
-    def is_miss(self) -> bool:
-        """Transaction caused by a cache miss (loads a block)."""
-        return self in (BusOp.READ, BusOp.READ_MOD)
-
-    @property
-    def is_broadcast(self) -> bool:
-        """One-word broadcast operation (write-word or invalidate)."""
-        return self in (BusOp.INVALIDATE, BusOp.WRITE_WORD)
-
-    @property
-    def updates_memory(self) -> bool:
-        """Transaction writes data to main memory (on its own)."""
-        return self in (BusOp.WRITE_WORD, BusOp.WRITE_BLOCK)

@@ -26,9 +26,11 @@ connections come from :class:`repro.sqlite_wal.WalConnections`.
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 import uuid
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -110,13 +112,35 @@ class ChunkRecord:
     error: str | None
 
 
+class _JournalConnections(WalConnections):
+    """WAL connections whose SQLite errors (a full disk, say) surface as
+    ``OSError`` naming the journal, as the result cache's do."""
+
+    @contextmanager
+    def os_errors(self) -> Iterator[None]:
+        try:
+            yield
+        except sqlite3.Error as exc:
+            raise OSError(f"sweep journal {self.path}: {exc}") from exc
+
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> sqlite3.Cursor:
+        with self.os_errors():
+            return super().execute(sql, params)
+
+    @contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        with self.os_errors(), super().transaction() as conn:
+            yield conn
+
+
 class SweepJournal:
     """SQLite-backed job/chunk/lease bookkeeping for sweep queues."""
 
     def __init__(self, path: str | Path):
-        self._db = WalConnections(path)
+        self._db = _JournalConnections(path)
         self.path = self._db.path
-        self._db.connect().executescript(_SCHEMA)
+        with self._db.os_errors():
+            self._db.connect().executescript(_SCHEMA)
 
     def close(self) -> None:
         """Close this thread's cached connection."""

@@ -17,6 +17,7 @@ coefficients, so a bug in the solver cannot hide behind itself.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 from repro.core.equations import EquationSystem, ModelState
 from repro.core.metrics import PerformanceReport
 from repro.core.solver import SolverDiagnostics
-from repro.protocols.machine import CoherenceMachine, ProcessorOp
-from repro.protocols.modifications import Modification, ProtocolSpec
-from repro.protocols.states import BlockState
+from repro.protocols.machine import CoherenceMachine, ProcessorOp, SnoopAction
+from repro.protocols.modifications import ProtocolSpec
+from repro.protocols.transactions import BusOp
 from repro.sim.system import SimulationResult
 from repro.verify.violations import Severity, Violation
 from repro.workload.derived import CacheInterference, DerivedInputs
@@ -59,6 +60,8 @@ class Audit:
     subject: str
     checks: int = 0
     violations: list[Violation] = field(default_factory=list)
+    #: Cache count -> reachable configurations (protocol-machine audits).
+    reachable_states: dict[int, int] = field(default_factory=dict)
 
     def check(self, condition: bool, law: str, message: str,
               observed: float | None = None, expected: str | None = None,
@@ -529,75 +532,83 @@ def audit_capacity_bound(report: PerformanceReport,
 # -- protocol state machine ----------------------------------------------
 
 
-def audit_protocol_machine(spec: ProtocolSpec, subject: str,
-                           n_caches: int = 3,
-                           depth: int = 4) -> Audit:
-    """Model-check the coherence machine over short access sequences.
+def audit_protocol_machine(spec: ProtocolSpec, subject: str) -> Audit:
+    """Prove the coherence machine over every reachable configuration.
 
-    Exhaustively drives a ``n_caches``-cache :class:`CoherenceMachine`
-    through every access sequence of the given depth (reads, writes and
-    purges from two active caches) and checks, after every step, the
-    Section 2.1/2.2 state laws: at most one write-back owner, exclusive
-    implies all other copies invalid, shared-dirty only under
-    modification 2 (or 3+4), and memory freshness consistent with
-    ownership.  The machine asserts the same laws internally; a raised
-    ``AssertionError`` is converted to a structured violation, so an
-    illegal transition can never pass silently.
+    A breadth-first search at 3 and at 4 caches applies every read,
+    write and purge from every cache.  A configuration is the block
+    states, ``memory_fresh`` and a data shadow: which valid copies, and
+    whether memory, hold the last write.  Each step checks the state
+    laws (:meth:`CoherenceMachine.laws`) and ``data-value``; a machine
+    ``AssertionError`` becomes ``protocol-transition``.
     """
     audit = Audit(subject=subject)
-    moves = [(cache, op) for cache in (0, 1)
-             for op in (ProcessorOp.READ, ProcessorOp.WRITE)]
-    moves.append((0, "purge"))
-    moves.append((1, "purge"))
-
-    for sequence in itertools.product(moves, repeat=depth):
+    # Under mods 3+4 a broadcast word skips memory (Section 2.2).
+    broadcast_skips_memory = {3, 4} <= spec.mod_numbers
+    for n_caches in (3, 4):
         machine = CoherenceMachine(spec, n_caches)
-        for step, (cache, op) in enumerate(sequence):
-            try:
-                if op == "purge":
-                    machine.purge(cache)
-                else:
-                    machine.access(cache, op)
-            except AssertionError as exc:
-                audit.check(False, "protocol-transition",
-                            "illegal protocol state transition: "
-                            f"{exc} (sequence {sequence[:step + 1]})",
-                            equation="Section 2.2")
-                break
-            owners = [i for i, s in enumerate(machine.states) if s.wback]
-            if not audit.check(len(owners) <= 1, "single-owner",
-                               "more than one write-back owner after "
-                               f"{sequence[:step + 1]}",
-                               equation="Section 2.1"):
-                break
-            exclusive = [i for i, s in enumerate(machine.states)
-                         if s.exclusive]
-            holders = machine.holders()
-            if not audit.check(
-                    not exclusive or len(holders) == 1,
-                    "exclusive-means-alone",
-                    "an exclusive copy coexists with other holders "
-                    f"after {sequence[:step + 1]}",
-                    equation="Section 2.1"):
-                break
-            shared_dirty_legal = (
-                Modification.CACHE_TO_CACHE_SUPPLY in spec.mods
-                or (Modification.WRITE_BROADCAST in spec.mods
-                    and Modification.INVALIDATE_INSTEAD_OF_WRITE_WORD
-                    in spec.mods))
-            if not shared_dirty_legal:
-                if not audit.check(
-                        BlockState.SHARED_WBACK not in machine.states,
-                        "no-shared-dirty",
-                        "shared-dirty ownership without modification 2 "
-                        f"or 3+4 after {sequence[:step + 1]}",
-                        equation="Section 2.2"):
-                    break
-            if not audit.check(
-                    machine.memory_fresh == (len(owners) == 0),
-                    "memory-freshness",
-                    "memory freshness inconsistent with write-back "
-                    f"ownership after {sequence[:step + 1]}",
-                    equation="Section 2.1"):
-                break
+        moves = [(cache, op, f"{getattr(op, 'value', 'purge')}({cache})")
+                 for cache in range(n_caches)
+                 for op in (ProcessorOp.READ, ProcessorOp.WRITE, None)]
+        start = (tuple(machine.states), True, (False,) * n_caches, True)
+        trace_to: dict[tuple, tuple[str, ...]] = {start: ()}
+        frontier = collections.deque([start])
+        while frontier:
+            config = frontier.popleft()
+            states, fresh, current, memory = config
+            for cache, op, move in moves:
+                trace = trace_to[config] + (move,)
+                machine.states, machine.memory_fresh = list(states), fresh
+                try:
+                    result = (machine.purge(cache) if op is None
+                              else machine.access(cache, op))
+                except AssertionError as exc:
+                    audit.check(False, "protocol-transition",
+                                f"illegal protocol state transition: {exc} "
+                                f"after {' '.join(trace)} ({n_caches} caches)",
+                                equation="Section 2.2")
+                    continue
+                # The data shadow: a write-block (a flush, or an owner's
+                # purge) carries the source's copy to memory, a miss loads
+                # memory's copy or the supplier's, and a write leaves
+                # current only the copies it updates.
+                source = next((i for i, action in result.actions.items()
+                               if action in (SnoopAction.FLUSH,
+                                             SnoopAction.SUPPLY)), cache)
+                copies, mem = list(current), memory
+                if BusOp.WRITE_BLOCK in result.bus_ops:
+                    mem = current[source]
+                if op is not None and not states[cache].valid:
+                    copies[cache] = (mem if result.memory_supplied
+                                     else current[source])
+                if op is ProcessorOp.WRITE:
+                    copies = [c and (i == cache or result.actions.get(i)
+                                     is SnoopAction.UPDATE)
+                              for i, c in enumerate(copies)]
+                    # A write-word keeps memory current only if memory
+                    # already held the rest of the block.
+                    if (BusOp.WRITE_WORD not in result.bus_ops
+                            or broadcast_skips_memory):
+                        mem = False
+                copies = tuple(c and s.valid
+                               for c, s in zip(copies, machine.states))
+                stale = [i for i, s in enumerate(machine.states)
+                         if s.valid and not copies[i]]
+                legal = True
+                for law, holds, statement in (
+                        *machine.laws(),
+                        ("data-value",
+                         not stale and mem == machine.memory_fresh,
+                         "every valid copy holds the last write, and "
+                         "memory holds it exactly when memory_fresh says so")):
+                    legal &= audit.check(
+                        holds, law, "" if holds else f"{statement} after "
+                        f"{' '.join(trace)} ({n_caches} caches)",
+                        equation="Section 2.2")
+                successor = (tuple(machine.states), machine.memory_fresh,
+                             copies, mem)
+                if legal and successor not in trace_to:
+                    trace_to[successor] = trace
+                    frontier.append(successor)
+        audit.reachable_states[n_caches] = len(trace_to)
     return audit

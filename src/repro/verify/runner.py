@@ -6,17 +6,16 @@ full protocol family and folds the results into one
 
 * **quick** (< 60 s, the CI push gate): invariant audits on every one
   of the 16 modification combinations x 3 sharing levels x 4 sizes,
-  sweep-shape audits, protocol model-checking at depth 3,
-  scalar-vs-batch differential at zero tolerance on the same grid, the
-  golden-corpus diff, and a seeded all-16 MVA-vs-DES pass at reduced
-  sample size.
-* **full**: quick, plus deeper protocol model-checking (depth 4),
-  larger DES samples at two system sizes (multi-seed through the
-  vector engine: the total sample is split over ``_DES_FULL_REPS``
-  lockstep replications, so the MVA-vs-DES check also carries an
-  across-seed band, and the whole corpus runs as one lockstep pack at
-  a fraction of the scalar engine's wall-clock cost), the
-  scalar-vs-vector DES
+  sweep-shape audits, the protocol machine's reachability proof at 3
+  and 4 caches, scalar-vs-batch differential at zero tolerance on the
+  same grid, the golden-corpus diff, and a seeded all-16 MVA-vs-DES
+  pass at reduced sample size.
+* **full**: quick (the same reachability proof), plus larger DES
+  samples at two system sizes (multi-seed through the vector engine:
+  the total sample is split over ``_DES_FULL_REPS`` lockstep
+  replications, so the MVA-vs-DES check also carries an across-seed
+  band, and the whole corpus runs as one lockstep pack at a fraction
+  of the scalar engine's wall-clock cost), the scalar-vs-vector DES
   statistical-equivalence oracle on representative cells, and the
   Section-5 stress corners through the failure-isolating executor.
 
@@ -163,13 +162,11 @@ def run_verify(tier: str = "quick",
                     invariants.audit_sweep_shape(reports, subject),
                     "sweep-shape")
 
-    # -- protocol state-machine model checking -------------------------
-    depth = 4 if tier == "full" else 3
+    # -- protocol state machine: reachability proof --------------------
     for spec in protocols:
-        _record(metrics, report,
-                invariants.audit_protocol_machine(spec, spec.label,
-                                                  depth=depth),
-                "protocol-machine")
+        audit = invariants.audit_protocol_machine(spec, spec.label)
+        _record(metrics, report, audit, "protocol-machine")
+        report.reachable_states[spec.label] = audit.reachable_states
 
     # -- differential oracle: scalar vs batch at zero tolerance --------
     _record(metrics, report, differential.diff_scalar_batch(mva_tasks),

@@ -94,6 +94,8 @@ class VerifyReport:
     violations: list[Violation] = field(default_factory=list)
     #: Section label -> number of checks, for the report breakdown.
     sections: dict[str, int] = field(default_factory=dict)
+    #: Protocol label -> cache count -> reachable machine configurations.
+    reachable_states: dict[str, dict[int, int]] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     def add(self, violations: list[Violation], checks: int,
@@ -141,6 +143,7 @@ class VerifyReport:
             "ok": self.ok,
             "checks": self.checks,
             "sections": dict(sorted(self.sections.items())),
+            "reachable_states": self.reachable_states,
             "violations": [v.as_dict() for v in self.violations],
             "elapsed_seconds": round(self.elapsed_seconds, 6),
         }

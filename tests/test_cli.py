@@ -276,6 +276,31 @@ class TestSweepSubcommand:
         assert second.out == first.out
         assert "12 from cache" in second.err
 
+    def test_full_disk_exits_2_naming_the_journal(self, tmp_path):
+        """A state dir on a full disk (a 32 KB file-size limit in the
+        child) ends in `error: ...` and exit 2, not a traceback."""
+        import os
+        import resource
+        import subprocess
+        import sys as _sys
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (32_768, 32_768))
+
+        env = dict(os.environ)
+        src = str(__import__("pathlib").Path(__file__).resolve()
+                  .parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [_sys.executable, "-m", "repro", "sweep", "--state-dir",
+             str(tmp_path / "state"), "--all-combinations", "-n",
+             *map(str, range(1, 22))],
+            preexec_fn=limit_file_size, env=env, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: sweep journal ")
+        assert "Traceback" not in proc.stderr
+
     def test_des_sweep_spreads_over_workers(self, capsys):
         """No --chunk-size: the queue's default shards a DES sweep into
         several chunks, and both workers lease some (one on a one-core
@@ -304,6 +329,14 @@ class TestSweepSubcommand:
 
 
 class TestServeSubcommand:
+    @pytest.mark.parametrize("front", [[], ["--async"]])
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_out_of_range_port_is_a_usage_error(self, capsys, front, port):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", port] + front)
+        assert exc.value.code == 2
+        assert "--port: must be 0-65535" in capsys.readouterr().err
+
     def test_serve_answers_solve_and_healthz(self, tmp_path):
         """`repro serve` on an ephemeral port answers POST /v1/solve
         with the same speedup the `solve` subcommand prints."""

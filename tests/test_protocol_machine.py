@@ -174,6 +174,27 @@ class TestModification2:
         assert m.states[1] is BlockState.EXCLUSIVE_WBACK
 
 
+    @pytest.mark.parametrize("mods", [(2,), (1, 2)])
+    def test_write_through_to_a_supplied_copy_keeps_write_back_duty(
+            self, mods):
+        """Cache 0 owns the block and supplies it to cache 1; cache 1's
+        first write goes through as a word, but memory still misses
+        cache 0's earlier write, so cache 1 must take over the
+        write-back.  Otherwise purge(1) drops the only current copy and
+        read(0) reads stale memory."""
+        m = machine(*mods)
+        m.access(0, WRITE)
+        m.access(1, READ)  # cache 0 supplies and stays SHARED_WBACK
+        result = m.access(1, WRITE)
+        assert result.bus_ops == (BusOp.WRITE_WORD,)
+        assert m.states[0] is BlockState.INVALID
+        assert m.states[1] is BlockState.EXCLUSIVE_WBACK
+        assert not m.memory_fresh
+        assert m.purge(1).bus_ops == (BusOp.WRITE_BLOCK,)
+        assert m.memory_fresh
+        assert m.access(0, READ).memory_supplied
+
+
 class TestModification3:
     def test_first_write_invalidates_instead_of_write_word(self):
         m = machine(3)

@@ -15,6 +15,8 @@ import pytest
 
 from repro.core.model import CacheMVAModel, build_report
 from repro.protocols.modifications import ProtocolSpec, all_combinations
+from repro.protocols.states import BlockState
+from repro.protocols.transactions import BusOp
 from repro.verify import (
     Audit,
     Severity,
@@ -207,11 +209,14 @@ class TestCorruptionIsCaught:
 
 
 class TestProtocolMachineAudit:
-    def test_every_combination_passes_at_depth_three(self):
+    def test_every_combination_passes_the_reachability_proof(self):
         for spec in all_combinations():
-            audit = audit_protocol_machine(spec, spec.label, depth=3)
+            audit = audit_protocol_machine(spec, spec.label)
             assert audit.checks > 0
             assert not audit.violations, (spec.label, audit.violations)
+            assert set(audit.reachable_states) == {3, 4}
+            # A fourth cache reaches configurations three cannot.
+            assert 0 < audit.reachable_states[3] < audit.reachable_states[4]
 
     def test_detects_planted_coherence_bug(self, monkeypatch):
         """Force the machine to leave memory staleness inconsistent and
@@ -228,6 +233,51 @@ class TestProtocolMachineAudit:
 
         monkeypatch.setattr(machine_mod.CoherenceMachine, "access",
                             stale)
-        audit = audit_protocol_machine(ProtocolSpec(), "WO", depth=2)
+        audit = audit_protocol_machine(ProtocolSpec(), "WO")
         assert any(v.law in ("memory-freshness", "protocol-transition")
                    for v in _errors(audit))
+
+    def test_write_hit_that_keeps_other_copies_fails(self, monkeypatch):
+        """A write hit that writes its word through but leaves the other
+        copies valid without updating them keeps every state law, so
+        only the data-value law can catch the stale copies."""
+        from repro.protocols import machine as machine_mod
+
+        def keep_copies(self, cache_id):
+            return machine_mod.SnoopResult(bus_ops=(BusOp.WRITE_WORD,))
+
+        monkeypatch.setattr(machine_mod.CoherenceMachine,
+                            "_first_write_through", keep_copies)
+        audit = audit_protocol_machine(ProtocolSpec(), "WO")
+        assert {v.law for v in _errors(audit)} == {"data-value"}
+        assert any("read(0) read(1) write(0)" in v.message
+                   for v in audit.violations)
+
+    @pytest.mark.parametrize("mods", [(2,), (1, 2)])
+    def test_flags_the_lost_write_of_the_old_write_through(
+            self, monkeypatch, mods):
+        """The write-through before write-back duty moved to the writer:
+        the writer kept the duty only if it owned the block itself, so
+        a write to a supplied copy marked memory fresh while memory
+        still missed the owner's write."""
+        from repro.protocols import machine as machine_mod
+
+        def old_write_through(self, cache_id):
+            actions = {i: machine_mod.SnoopAction.INVALIDATE
+                       for i in self.holders() if i != cache_id}
+            for i in actions:
+                self.states[i] = BlockState.INVALID
+            was_wback = self.states[cache_id].wback
+            self.states[cache_id] = (BlockState.EXCLUSIVE_WBACK if was_wback
+                                     else BlockState.EXCLUSIVE_CLEAN)
+            self.memory_fresh = not was_wback
+            return machine_mod.SnoopResult(bus_ops=(BusOp.WRITE_WORD,),
+                                           actions=actions)
+
+        monkeypatch.setattr(machine_mod.CoherenceMachine,
+                            "_first_write_through", old_write_through)
+        spec = ProtocolSpec.of(*mods)
+        audit = audit_protocol_machine(spec, spec.label)
+        assert {v.law for v in _errors(audit)} == {"data-value"}
+        assert any("write(0) read(1) write(1) (3 caches)" in v.message
+                   for v in audit.violations)

@@ -81,6 +81,13 @@ class TestRunVerify:
         assert payload["checks"] == quick_report.checks
         assert isinstance(payload["violations"], list)
 
+    def test_report_counts_reachable_states_per_combination(
+            self, quick_report):
+        states = json.loads(quick_report.to_json())["reachable_states"]
+        assert len(states) == 16
+        assert states["Write-Once"] == {"3": 14, "4": 24}
+        assert all(counts["3"] < counts["4"] for counts in states.values())
+
 
 class TestVerifyCli:
     def test_quick_exits_zero_on_main(self, capsys):
